@@ -16,8 +16,10 @@ Flow:
 5. restart serve on the same store+journal; the interrupted job is
    re-adopted before the socket binds; ``results(job-1, wait=True)``
 6. byte-compare the recovered store against the baseline, check the
-   journal converged, attempts stayed within the retry budget, and no
-   orphan ``/dev/shm`` segment survived
+   journal converged, the successor executed exactly the configs the
+   victim had not persisted (the ``hang-in-kernel`` hit counter in
+   ``REPRO_FAULT_STATE`` counts one hit per execution) with no retry, and
+   no orphan ``/dev/shm`` segment survived
 
 Run under ``REPRO_SHM_TRANSPORT=1`` and ``=0`` (CI does both legs).
 """
@@ -89,6 +91,12 @@ def _poll_persisted(sock: Path, want: int, timeout: float = 120.0) -> dict:
     )
 
 
+def _kernel_hits(env: dict) -> int:
+    """Executions so far: ``hang-in-kernel`` hits in the shared state file."""
+    state = json.loads(Path(env["REPRO_FAULT_STATE"]).read_text())
+    return int(state.get("hang-in-kernel", 0))
+
+
 def _orphan_segments() -> list:
     shm = Path("/dev/shm")
     if not shm.is_dir():
@@ -146,6 +154,7 @@ def main(argv=None) -> int:
     os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
     print(f"[chaos] SIGKILL delivered after {_HUNG_AFTER} persisted records")
+    executed_before = _kernel_hits(env)
 
     partial = store.read_bytes()
     clean_prefix = partial[: partial.rfind(b"\n") + 1]
@@ -166,6 +175,7 @@ def main(argv=None) -> int:
             reply = client.results(job_id, wait=True)
             assert reply["ok"] and reply["state"] == "done", reply
             assert len(reply["records"]) == len(_NPROCS)
+            retries = client.stats()["faults"]["retries"]
             client.shutdown()
     except BaseException:
         proc.kill()
@@ -173,25 +183,26 @@ def main(argv=None) -> int:
         raise
     assert proc.wait(timeout=60) == 0
 
-    # 6. Recovery converged: byte-identical store, quiet journal, bounded
-    # attempts, no leaked shm segments.
+    # 6. Recovery converged: byte-identical store, quiet journal, exactly
+    # the unpersisted remainder re-executed, no leaked shm segments.
     recovered = store.read_bytes()
     assert recovered == baseline, (
         f"recovered store differs from baseline "
         f"({len(recovered)} vs {len(baseline)} bytes)"
     )
     assert Journal(jdir).interrupted_jobs() == []
-    jobs = Journal(jdir).recover()
-    worst = max(
-        (a for job in jobs.values() for a in job.attempts.values()),
-        default=0,
+    executed = _kernel_hits(env) - executed_before
+    assert executed == len(_NPROCS) - _HUNG_AFTER, (
+        f"successor executed {executed} configs, expected "
+        f"{len(_NPROCS) - _HUNG_AFTER}"
     )
-    assert worst <= 2, f"a task was dispatched {worst} times (budget is 2)"
+    assert retries == 0, f"successor retried {retries} task(s)"
     leaked = _orphan_segments()
     assert not leaked, f"leaked shm segments: {leaked}"
 
     print(f"[chaos] ok: kill -9 mid-flight, restart re-adopted {job_id}, "
-          f"store byte-identical ({n_rows} rows), max attempts {worst}, "
+          f"store byte-identical ({n_rows} rows), successor executed "
+          f"{executed} configs with 0 retries, "
           f"/dev/shm clean (shm_transport={shm_transport})")
     return 0
 

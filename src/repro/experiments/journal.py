@@ -8,23 +8,20 @@ single ``O_APPEND`` ``write(2)``, ``fsync``'d before the scheduler
 proceeds, and carries a CRC-32 checksum so replay can tell a torn final
 record (a crash mid-append) from a clean one.
 
-Record types (see :class:`JournalJob` for how replay folds them):
+The journal is job-level; it writes two records per job:
 
 ``job-submitted`` / ``job-adopted``
-    The full job: id, config dicts, priority, budget, force.  Written
-    *before* any task is dispatched, so an accepted job is always
-    recoverable.
-``task-dispatched``
-    A task attempt started (``hash``, ``attempt``) — diagnostic, and the
-    basis for attempt accounting across a crash.
-``result-persisted``
-    The store append for ``hash`` completed.  Written *after* the store
-    ``fsync``, so the store is always at least as new as the journal:
-    recovery treats journal-persisted hashes as done and re-checks the
-    store for the (at most one) record that landed in the crash window.
+    The full job: id, config dicts, priority, budget.  Written *before*
+    any task is dispatched, so an accepted job is always recoverable.
 ``job-done``
-    Terminal state (``done``/``failed``/``cancelled``).  A job with no
-    ``job-done`` record is *interrupted* and gets re-adopted on restart.
+    Terminal state (``done``/``failed``/``cancelled``).  Written *after*
+    the job's last store append.
+
+Recovery invariant: a job without ``job-done`` is *interrupted* and gets
+re-adopted on restart; whatever it already persisted comes back as store
+cache hits, so only the unfinished remainder executes.  Per-task progress
+lives in the store alone.  Record types this module does not fold (such
+as the per-task records older journals carry) are skipped on replay.
 
 Torn-write tolerance: :meth:`Journal.replay` validates every line's JSON
 *and* checksum; a trailing run of invalid bytes — the only corruption a
@@ -40,7 +37,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Union
 
 from .faults import torn_write_point
 
@@ -95,13 +92,6 @@ class JournalJob:
     configs: List[Dict[str, object]] = field(default_factory=list)
     priority: int = 0
     budget: Optional[int] = None
-    force: bool = False
-    #: hashes with at least one dispatched attempt
-    dispatched: Set[str] = field(default_factory=set)
-    #: hashes whose store append completed
-    persisted: Set[str] = field(default_factory=set)
-    #: dispatch attempts per hash (crash-surviving retry accounting)
-    attempts: Dict[str, int] = field(default_factory=dict)
     state: str = "running"          # running | done | failed | cancelled
 
     @property
@@ -115,9 +105,6 @@ class Journal:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_FILENAME
-
-    def exists(self) -> bool:
-        return self.path.is_file()
 
     # ------------------------------------------------------------------
     # Writing
@@ -212,25 +199,9 @@ class Journal:
                 job.priority = int(record.get("priority") or 0)
                 budget = record.get("budget")
                 job.budget = None if budget is None else int(budget)
-                job.force = bool(record.get("force", False))
                 job.state = "running"   # an adoption re-opens the job
-                continue
-            job = jobs.get(job_id)
-            if job is None:
-                continue                # records of a compacted/foreign job
-            if type_ == "task-dispatched":
-                h = record.get("hash")
-                if isinstance(h, str):
-                    job.dispatched.add(h)
-                    job.attempts[h] = max(
-                        job.attempts.get(h, 0), int(record.get("attempt") or 1)
-                    )
-            elif type_ == "result-persisted":
-                h = record.get("hash")
-                if isinstance(h, str):
-                    job.persisted.add(h)
-            elif type_ == "job-done":
-                job.state = str(record.get("state") or "done")
+            elif type_ == "job-done" and job_id in jobs:
+                jobs[job_id].state = str(record.get("state") or "done")
         return jobs
 
     def interrupted_jobs(self, *, truncate: bool = True) -> List[JournalJob]:
@@ -247,14 +218,7 @@ class Journal:
             configs=[c.as_dict() for c in job.configs],
             priority=job.priority,
             budget=job.budget,
-            force=job.force,
         )
-
-    def task_dispatched(self, job_id: str, hash_: str, attempt: int) -> None:
-        self.append("task-dispatched", job_id=job_id, hash=hash_, attempt=attempt)
-
-    def result_persisted(self, job_id: str, hash_: str) -> None:
-        self.append("result-persisted", job_id=job_id, hash=hash_)
 
     def job_done(self, job_id: str, state: str) -> None:
         self.append("job-done", job_id=job_id, state=state)

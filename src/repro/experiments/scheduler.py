@@ -1228,13 +1228,6 @@ class Scheduler:
                 self._resolve(task, state="done")
 
     def _note_running(self, task: _Task) -> None:
-        if self.journal is not None:
-            try:
-                self.journal.task_dispatched(
-                    task.owner, task.hash, task.attempts
-                )
-            except Exception:   # a diagnostic record must not kill a lane
-                pass
         for handle in self._handles_of(task):
             handle.counters.running += 1
 
@@ -1288,10 +1281,6 @@ class Scheduler:
                     self.store.append([task.record])
                     with self._lock:
                         self.persisted += 1
-                    # After the store fsync, so the store is always at
-                    # least as new as the journal.
-                    if self.journal is not None:
-                        self.journal.result_persisted(handle.job_id, h)
                 handle._emit("progress")
             for h, task in handle.attached.items():
                 task.done.wait()
@@ -1308,6 +1297,9 @@ class Scheduler:
                 if any(t.state == "cancelled" for t in handle.owned.values())
                 else "done"
             )
+        # After the job's last store append: a crash before this line
+        # leaves no ``job-done``, so the job is re-adopted and every row it
+        # already persisted comes back as a store cache hit.
         self._journal_job_done(handle.job_id, handle.state)
         handle.finished.set()
         handle._emit(handle.state)

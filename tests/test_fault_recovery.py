@@ -7,7 +7,8 @@ The crash matrix drives a real scheduler in a subprocess with
 in-process analogue of ``kill -9``.  The shared ``REPRO_FAULT_STATE``
 counter file ensures a fault that fired before the crash does not fire
 again during recovery.  The randomized test replays the journal from
-arbitrary truncation prefixes paired with a consistent store prefix.
+arbitrary truncation prefixes paired with every store prefix the job
+could have persisted.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class TestCrashRecoveryMatrix:
         "kill-before-dispatch:2",
         "kill-after-execute-before-persist:2",
         "torn-journal-write:1",     # tears the job-submitted record itself
-        "torn-journal-write:4",
+        "torn-journal-write:2",     # tears job-done after every row persisted
     ])
     def test_interrupted_then_recovered_store_is_byte_identical(
         self, tmp_path, baseline, plan
@@ -201,10 +202,11 @@ class TestRandomizedCrashPoints:
     def test_recovery_from_arbitrary_journal_truncation_prefixes(
         self, tmp_path, baseline
     ):
-        """Seeded sweep over journal truncation offsets: every prefix,
-        paired with the consistent store prefix (store >= journal, plus
-        sometimes the one crash-window row), must recover to the byte-
-        identical store."""
+        """Seeded sweep over journal truncation offsets: every prefix
+        without ``job-done`` is paired with every store prefix (the job
+        may have persisted any number of rows), a prefix with ``job-done``
+        with the full store; each must recover to the byte-identical
+        store."""
         # A complete journalled run provides the full journal to truncate.
         full_dir = tmp_path / "full"
         full_dir.mkdir()
@@ -214,40 +216,79 @@ class TestRandomizedCrashPoints:
         journal_bytes = (full_dir / "journal" / "journal.jsonl").read_bytes()
         store_lines = store.path.read_bytes().splitlines(keepends=True)
         assert store.path.read_bytes() == baseline
+        # job-done is the final record, so only the whole file holds it.
+        assert [r["type"] for r in Journal(full_dir / "journal").replay()] == [
+            "job-submitted", "job-done",
+        ]
 
         rng = random.Random(0xC0FFEE)
         offsets = sorted(
             {0, len(journal_bytes)}
             | {rng.randrange(1, len(journal_bytes)) for _ in range(8)}
         )
-        for i, offset in enumerate(offsets):
-            case = tmp_path / f"case-{offset}"
-            case.mkdir()
-            jdir = case / "journal"
-            jdir.mkdir()
-            (jdir / "journal.jsonl").write_bytes(journal_bytes[:offset])
-            # How much the store knew at the "crash": every journalled
-            # result-persisted row, plus sometimes the crash-window row
-            # whose store append beat its journal record.
-            replayed = Journal(jdir).replay()
-            persisted = sum(
-                1 for r in replayed if r["type"] == "result-persisted"
+        for offset in offsets:
+            kept_rows = (
+                [len(store_lines)] if offset == len(journal_bytes)
+                else range(len(store_lines) + 1)
             )
-            if i % 2 and persisted < len(store_lines):
-                persisted += 1          # crash-window extra row
-            case_store = case / "store.jsonl"
-            case_store.write_bytes(b"".join(store_lines[:persisted]))
+            for kept in kept_rows:
+                case = tmp_path / f"case-{offset}-{kept}"
+                jdir = case / "journal"
+                jdir.mkdir(parents=True)
+                (jdir / "journal.jsonl").write_bytes(journal_bytes[:offset])
+                case_store = case / "store.jsonl"
+                case_store.write_bytes(b"".join(store_lines[:kept]))
 
-            scheduler = Scheduler(workers=0, store=case_store, journal=jdir)
-            try:
-                handles = scheduler.adopt()
-                handles.append(scheduler.submit(_configs()))
-                for handle in handles:
-                    handle.wait(timeout=120)
-            finally:
-                scheduler.shutdown()
-            assert case_store.read_bytes() == baseline, (
-                f"truncation offset {offset} did not recover to the "
-                "baseline store"
-            )
-            assert Journal(jdir).interrupted_jobs() == []
+                scheduler = Scheduler(workers=0, store=case_store, journal=jdir)
+                try:
+                    handles = scheduler.adopt()
+                    handles.append(scheduler.submit(_configs()))
+                    for handle in handles:
+                        handle.wait(timeout=120)
+                finally:
+                    scheduler.shutdown()
+                assert case_store.read_bytes() == baseline, (
+                    f"truncation offset {offset} with {kept} store rows did "
+                    "not recover to the baseline store"
+                )
+                assert Journal(jdir).interrupted_jobs() == []
+
+
+class TestOldJournalReplay:
+    def test_journal_with_retired_per_task_records_adopts_to_baseline(
+        self, tmp_path, baseline
+    ):
+        """Journals written before the job-level grammar carry
+        ``task-dispatched``/``result-persisted`` records (and a ``force``
+        field); replay skips them, and adoption finishes the job to the
+        baseline store."""
+        configs = _configs()
+        hashes = [c.config_hash() for c in configs]
+        journal = Journal(tmp_path / "journal")
+        journal.append(
+            "job-submitted", job_id="job-1",
+            configs=[c.as_dict() for c in configs],
+            priority=0, budget=None, force=False,
+        )
+        for h in hashes:
+            journal.append("task-dispatched", job_id="job-1", hash=h, attempt=1)
+        for h in hashes[:2]:
+            journal.append("result-persisted", job_id="job-1", hash=h)
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_bytes(b"".join(baseline.splitlines(keepends=True)[:2]))
+
+        jobs = journal.recover()
+        assert list(jobs) == ["job-1"]
+        assert jobs["job-1"].configs == [c.as_dict() for c in configs]
+        assert [j.job_id for j in journal.interrupted_jobs()] == ["job-1"]
+
+        scheduler = Scheduler(workers=0, store=store_path, journal=journal)
+        try:
+            handles = scheduler.adopt()
+            assert [h.job_id for h in handles] == ["job-1"]
+            assert handles[0].counters.cached == 2
+            handles[0].wait(timeout=120)
+        finally:
+            scheduler.shutdown()
+        assert store_path.read_bytes() == baseline
+        assert journal.interrupted_jobs() == []

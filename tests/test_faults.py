@@ -8,6 +8,7 @@ import json
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -112,10 +113,10 @@ class TestJournal:
     def test_append_replay_round_trip(self, tmp_path):
         journal = Journal(tmp_path)
         journal.append("job-submitted", job_id="job-1", configs=[])
-        journal.append("task-dispatched", job_id="job-1", hash="abc", attempt=1)
+        journal.append("job-done", job_id="job-1", state="cancelled")
         records = journal.replay()
-        assert [r["type"] for r in records] == ["job-submitted", "task-dispatched"]
-        assert records[1]["attempt"] == 1
+        assert [r["type"] for r in records] == ["job-submitted", "job-done"]
+        assert records[1]["state"] == "cancelled"
 
     def test_torn_tail_is_truncated_and_replay_continues(self, tmp_path):
         journal = Journal(tmp_path)
@@ -151,23 +152,24 @@ class TestJournal:
     def test_recover_folds_job_state(self, tmp_path):
         journal = Journal(tmp_path)
         job = type("J", (), {})()
-        job.job_id, job.configs, job.priority, job.budget, job.force = (
-            "job-1", [], 0, None, False,
+        job.job_id, job.configs, job.priority, job.budget = (
+            "job-1", tuple(_configs(2)), 3, 5,
         )
         journal.job_submitted(job)
-        journal.task_dispatched("job-1", "aaa", 1)
-        journal.task_dispatched("job-1", "aaa", 2)
-        journal.result_persisted("job-1", "aaa")
         jobs = journal.recover()
+        assert list(jobs) == ["job-1"]
         assert jobs["job-1"].interrupted
-        assert jobs["job-1"].persisted == {"aaa"}
-        assert jobs["job-1"].attempts == {"aaa": 2}
-        journal.job_done("job-1", "done")
+        assert jobs["job-1"].configs == [c.as_dict() for c in _configs(2)]
+        assert (jobs["job-1"].priority, jobs["job-1"].budget) == (3, 5)
+        journal.job_done("job-1", "failed")
+        assert journal.recover()["job-1"].state == "failed"
         assert journal.interrupted_jobs() == []
+        journal.job_submitted(job, adopted=True)        # adoption re-opens
+        assert [j.job_id for j in journal.interrupted_jobs()] == ["job-1"]
 
     def test_crash_window_records_of_unknown_jobs_are_ignored(self, tmp_path):
         journal = Journal(tmp_path)
-        journal.result_persisted("job-9", "zzz")        # no job-submitted
+        journal.job_done("job-9", "done")               # no job-submitted
         assert journal.recover() == {}
 
 
@@ -257,16 +259,26 @@ class TestWorkerFaultPolicy:
         assert faults["reassigned"] == 1
         assert store.path.read_bytes() == clean.path.read_bytes()
 
-    def test_retries_exhausted_fails_the_job(self, tmp_path):
+    def test_retries_exhausted_fails_the_job(self, tmp_path, monkeypatch):
         """A task that hangs on every attempt exhausts its retry budget and
-        fails the job with the reap error — after exactly
-        ``max_retries + 1`` dispatches (the acceptance bound)."""
+        fails the job with the reap error — after at most
+        ``max_retries + 1`` executions per hash (the acceptance bound)."""
+        import repro.experiments.engine as engine_mod
+
+        ran = tmp_path / "executed.txt"
+        real = engine_mod._execute_worker
+
+        def count_then_run(config):
+            with ran.open("a", encoding="utf-8") as fh:
+                fh.write(config.config_hash() + "\n")
+            return real(config)
+
+        monkeypatch.setattr(engine_mod, "_execute_worker", count_then_run)
         install_fault_plan(FaultPlan.from_string(
             "hang-in-kernel:1-99@60", state_file=tmp_path / "faults.json"
         ))
-        journal = Journal(tmp_path / "journal")
         scheduler = Scheduler(
-            workers=2, store=tmp_path / "records.jsonl", journal=journal,
+            workers=2, store=tmp_path / "records.jsonl",
             task_timeout=0.8, max_retries=1, retry_backoff=0.0,
         )
         try:
@@ -278,13 +290,10 @@ class TestWorkerFaultPolicy:
         finally:
             scheduler.shutdown()
         assert faults["timeouts"] >= 2      # original + retry, per hung hash
-        # Exactly-once-more bound: no hash was dispatched more than
-        # max_retries + 1 times.
-        attempts = {}
-        for job in journal.recover().values():
-            for h, n in job.attempts.items():
-                attempts[h] = max(attempts.get(h, 0), n)
-        assert attempts and all(n <= 2 for n in attempts.values())
+        # Exactly-once-more bound: no hash ran more than max_retries + 1
+        # times.
+        executions = Counter(ran.read_text(encoding="utf-8").split())
+        assert executions and all(n <= 2 for n in executions.values())
 
     def test_dead_worker_task_is_retried_once(self, tmp_path, monkeypatch):
         """A worker SIGKILLed mid-task (no timeout configured) is reaped via

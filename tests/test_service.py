@@ -402,8 +402,9 @@ class TestCrashSafeService:
     @staticmethod
     def _interrupted_state(tmp_path, keep_persisted: int = 2):
         """Build a (store, journal, baseline) triple that looks like a
-        service killed mid-sweep: a complete journalled run truncated to
-        its first ``keep_persisted`` persisted results."""
+        service killed mid-sweep: a complete journalled run whose journal
+        is cut after ``job-submitted`` and whose store keeps its first
+        ``keep_persisted`` rows."""
         from repro.experiments.journal import JOURNAL_FILENAME, Journal
 
         prior = tmp_path / "prior"
@@ -416,20 +417,12 @@ class TestCrashSafeService:
         journal_lines = (
             prior / "journal" / JOURNAL_FILENAME
         ).read_bytes().splitlines(keepends=True)
-        cut = persisted = 0
-        for i, line in enumerate(journal_lines):
-            rec = json.loads(line)["rec"]
-            if rec["type"] == "result-persisted":
-                persisted += 1
-                if persisted == keep_persisted:
-                    cut = i + 1
-                    break
-        assert cut, "journalled run had too few persisted records"
+        assert json.loads(journal_lines[0])["rec"]["type"] == "job-submitted"
 
         crashed = tmp_path / "crashed"
         jdir = crashed / "journal"
         jdir.mkdir(parents=True)
-        (jdir / JOURNAL_FILENAME).write_bytes(b"".join(journal_lines[:cut]))
+        (jdir / JOURNAL_FILENAME).write_bytes(journal_lines[0])
         store_path = crashed / "records.jsonl"
         store_lines = baseline.splitlines(keepends=True)
         store_path.write_bytes(b"".join(store_lines[:keep_persisted]))
