@@ -16,14 +16,11 @@ both sides — which is exactly the cost structure the 1D RDMA design avoids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
 
 import numpy as np
 
 from ..distribution import DistributedBlocks2D, ProcessGrid2D
 from ..runtime import SimulatedCluster
-from ..sparse import CSCMatrix, add_matrices, local_spgemm, stack_columns
-from ..sparse.csc import build_csc_unchecked
 from .base import DistributedSpGEMMAlgorithm, SpGEMMResult
 from .masking import (
     apply_mask,
@@ -32,10 +29,9 @@ from .masking import (
     validate_mask_mode,
 )
 from .pipeline import DistributedOperand, PreparedMultiply, as_operand
+from .summa import run_summa_stages
 
 __all__ = ["SparseSUMMA2D"]
-
-_INDEX_DTYPE = np.int64
 
 
 @dataclass
@@ -97,106 +93,20 @@ class SparseSUMMA2D(DistributedSpGEMMAlgorithm):
         dist_a: DistributedBlocks2D = prepared.a.dist
         dist_b: DistributedBlocks2D = prepared.b.dist
         scope = cluster.phase_prefix
-
-        # Per-process accumulated partial results for its C block.
-        partials: Dict[tuple, List[CSCMatrix]] = {
-            (i, j): [] for i in range(grid.prows) for j in range(grid.pcols)
-        }
-        # Stage-invariant resident footprints, and a running byte total of
-        # each block's partial list — the same integers the loop used to
-        # recompute from scratch every stage.
-        resident_bytes = {
-            (i, j): dist_a.block(i, j).memory_bytes()
-            + dist_b.block(i, j).memory_bytes()
+        ranks = np.arange(grid.prows * grid.pcols).reshape(grid.prows, grid.pcols)
+        # Every process keeps its own A(i, j) and B(i, j) through all stages.
+        resident_bytes = np.array([
+            [dist_a.block(i, j).memory_bytes() + dist_b.block(i, j).memory_bytes()
+             for j in range(grid.pcols)]
             for i in range(grid.prows)
-            for j in range(grid.pcols)
-        }
-        partial_bytes = {key: 0 for key in partials}
-
-        stages = grid.pcols  # square grid: pcols == prows
-        for s in range(stages):
-            with cluster.phase(f"stage-{s}"):
-                # Batch the stage's 2·√P broadcasts — A(i, s) along every
-                # process row, B(s, j) along every process column — into one
-                # accounting call.
-                cluster.comm.bcast_many(
-                    [
-                        (dist_a.block(i, s), grid.rank_of(i, s), grid.row_ranks(i))
-                        for i in range(grid.prows)
-                    ]
-                    + [
-                        (dist_b.block(s, j), grid.rank_of(s, j), grid.col_ranks(j))
-                        for j in range(grid.pcols)
-                    ]
-                )
-                # Local multiply-accumulate on every process.  The stage's B
-                # block row is concatenated once so each A(i, s) multiplies
-                # it in a single kernel call; the result is sliced back into
-                # the per-(i, j) partials.  Columns are independent in every
-                # kernel variant, so the sliced partials (and all charges
-                # derived from them) are bit-identical to per-block calls.
-                b_blocks = [dist_b.block(s, j) for j in range(grid.pcols)]
-                b_bytes = [b.memory_bytes() for b in b_blocks]
-                b_row = stack_columns(b_blocks, nrows=b_blocks[0].nrows)
-                col_offsets = np.cumsum([0] + [b.ncols for b in b_blocks])
-                # nnz boundaries of each B(s, j) inside the stacked row.
-                b_ent_offsets = b_row.indptr[col_offsets]
-                for i in range(grid.prows):
-                    a_block = dist_a.block(i, s)
-                    if a_block.nnz == 0:
-                        continue
-                    a_bytes = a_block.memory_bytes()
-                    a_col_nnz = a_block.column_nnz()
-                    with cluster.measured(grid.rank_of(i, s), "comp"):
-                        c_row = local_spgemm(a_block, b_row, kernel=self.kernel)
-                    # Σ over B(s, j) entries of nnz(A(:,k)) for every j at
-                    # once — the same integers per_column_flops(...).sum()
-                    # produces, via exact int64 prefix-sum differences.
-                    fl_prefix = np.zeros(b_row.nnz + 1, dtype=_INDEX_DTYPE)
-                    np.cumsum(a_col_nnz[b_row.indices], out=fl_prefix[1:])
-                    flops_by_j = fl_prefix[b_ent_offsets[1:]] - fl_prefix[b_ent_offsets[:-1]]
-                    row_base = i * grid.pcols
-                    for j in range(grid.pcols):
-                        b_block = b_blocks[j]
-                        if b_block.nnz == 0:
-                            continue
-                        cs, ce = col_offsets[j], col_offsets[j + 1]
-                        lo, hi = c_row.indptr[cs], c_row.indptr[ce]
-                        partial = build_csc_unchecked(
-                            c_row.nrows,
-                            b_block.ncols,
-                            c_row.indptr[cs : ce + 1] - lo,
-                            c_row.indices[lo:hi],
-                            c_row.data[lo:hi],
-                        )
-                        key = (i, j)
-                        partials[key].append(partial)
-                        partial_bytes[key] += partial.memory_bytes()
-                        cluster.charge_compute_and_memory(
-                            row_base + j,
-                            int(flops_by_j[j]),
-                            resident_bytes[key]
-                            + a_bytes
-                            + b_bytes[j]
-                            + partial_bytes[key],
-                        )
-
+        ], dtype=np.int64)
+        partials = run_summa_stages(
+            cluster, dist_a, dist_b, ranks, kernel=self.kernel, phase="stage-{}",
+            resident_bytes=resident_bytes,
+        )
         # Final local merge of the per-stage partials into each C block.
-        c_blocks: Dict[tuple, CSCMatrix] = {}
         with cluster.phase("merge"):
-            for i in range(grid.prows):
-                rs, re = dist_a.row_bounds[i]
-                for j in range(grid.pcols):
-                    cs, ce = dist_b.col_bounds[j]
-                    rank = grid.rank_of(i, j)
-                    pieces = partials[(i, j)]
-                    if pieces:
-                        with cluster.measured(rank, "comp"):
-                            merged = add_matrices(pieces)
-                        cluster.charge_compute(rank, sum(p.nnz for p in pieces))
-                    else:
-                        merged = CSCMatrix.empty(re - rs, ce - cs)
-                    c_blocks[(i, j)] = merged
+            c_blocks = partials.merge(cluster)
 
         dist_c = DistributedBlocks2D(
             nrows=dist_a.nrows,

@@ -28,8 +28,7 @@ from ..distribution import (
     valid_layer_counts,
 )
 from ..runtime import SimulatedCluster
-from ..sparse import CSCMatrix, add_matrices, local_spgemm, stack_columns
-from ..sparse.csc import build_csc_unchecked
+from ..sparse import CSCMatrix, add_matrices, stack_columns
 from ..sparse.ops import column_blocks
 from .base import DistributedSpGEMMAlgorithm, SpGEMMResult
 from .masking import (
@@ -39,13 +38,21 @@ from .masking import (
     validate_mask_mode,
 )
 from .pipeline import DistributedOperand, PreparedMultiply, as_operand
+from .summa import run_summa_stages
 
 __all__ = ["SplitSpGEMM3D"]
 
 
 @dataclass
 class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
-    """3D split SpGEMM with ``layers`` layers (``P/layers`` must be a perfect square)."""
+    """3D split SpGEMM with ``layers`` layers (``P/layers`` must be a perfect square).
+
+    An invalid ``layers`` falls back to the nearest valid count.  The
+    default ``layers=2`` is invalid for every ``P = 4^k``, where it falls
+    back to one layer: 2D SUMMA plus a no-op layer merge.  So every ``3d``
+    config at P = 4, 16, 64, 256 or 1024 runs with one layer unless
+    ``layers`` is set; ``info["layers"]`` reports the count that ran.
+    """
 
     layers: int = 2
     kernel: str = "hybrid"
@@ -109,157 +116,34 @@ class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
         split: LayerSplit3D = prepared.extras["split"]
         P = cluster.nprocs
         scope = cluster.phase_prefix
-        layer_grid = grid.layer_grid
 
-        # ------------------------------------------------------------------
-        # Per-layer 2D SUMMA producing partial C^(l) blocks.
-        # ------------------------------------------------------------------
-        # partial_blocks[l][(i, j)] = list of stage partials for that block
-        partial_blocks: List[Dict[Tuple[int, int], List[CSCMatrix]]] = [
-            {(i, j): [] for i in range(grid.prows) for j in range(grid.pcols)}
-            for _ in range(grid.layers)
+        # Per-layer 2D SUMMA producing the partial C^(l) blocks.
+        layer_ranks = np.arange(P // grid.layers).reshape(grid.prows, grid.pcols)
+        partials = [
+            run_summa_stages(
+                cluster, split.a_layers[l], split.b_layers[l], layer_ranks + l * layer_ranks.size,
+                kernel=self.kernel, phase=f"layer{l}-stage{{}}",
+            )
+            for l in range(grid.layers)
         ]
-        # Running byte totals of each block's partial list — the same
-        # integers the loop used to recompute from scratch every stage.
-        partial_bytes: List[Dict[Tuple[int, int], int]] = [
-            {key: 0 for key in layer} for layer in partial_blocks
-        ]
-        stages = layer_grid.pcols
-        for l in range(grid.layers):
-            dist_a = split.a_layers[l]
-            dist_b = split.b_layers[l]
-            for s in range(stages):
-                with cluster.phase(f"layer{l}-stage{s}"):
-                    # Batch the layer-stage's row and column broadcasts into
-                    # one accounting call.
-                    cluster.comm.bcast_many(
-                        [
-                            (
-                                dist_a.block(i, s),
-                                grid.rank_of(i, s, l),
-                                [grid.rank_of(i, j, l) for j in range(grid.pcols)],
-                            )
-                            for i in range(grid.prows)
-                        ]
-                        + [
-                            (
-                                dist_b.block(s, j),
-                                grid.rank_of(s, j, l),
-                                [grid.rank_of(i, j, l) for i in range(grid.prows)],
-                            )
-                            for j in range(grid.pcols)
-                        ]
-                    )
-                    # Concatenate the layer-stage's B block row once; each
-                    # A(i, s) multiplies it in a single kernel call and the
-                    # result is sliced back into per-(i, j) partials —
-                    # bit-identical per column in every kernel variant.
-                    b_blocks = [dist_b.block(s, j) for j in range(grid.pcols)]
-                    b_bytes = [b.memory_bytes() for b in b_blocks]
-                    b_row = stack_columns(b_blocks, nrows=b_blocks[0].nrows)
-                    col_offsets = np.cumsum([0] + [b.ncols for b in b_blocks])
-                    # nnz boundaries of each B(s, j) inside the stacked row.
-                    b_ent_offsets = b_row.indptr[col_offsets]
-                    layer_partials = partial_blocks[l]
-                    layer_bytes = partial_bytes[l]
-                    layer_base = l * (grid.prows * grid.pcols)
-                    for i in range(grid.prows):
-                        a_block = dist_a.block(i, s)
-                        if a_block.nnz == 0:
-                            continue
-                        a_bytes = a_block.memory_bytes()
-                        a_col_nnz = a_block.column_nnz()
-                        with cluster.measured(grid.rank_of(i, s, l), "comp"):
-                            c_row = local_spgemm(
-                                a_block, b_row, kernel=self.kernel
-                            )
-                        # Σ over B(s, j) entries of nnz(A(:,k)) for every j
-                        # at once — the same integers
-                        # per_column_flops(...).sum() produces, via exact
-                        # int64 prefix-sum differences.
-                        fl_prefix = np.zeros(b_row.nnz + 1, dtype=np.int64)
-                        np.cumsum(a_col_nnz[b_row.indices], out=fl_prefix[1:])
-                        flops_by_j = (
-                            fl_prefix[b_ent_offsets[1:]]
-                            - fl_prefix[b_ent_offsets[:-1]]
-                        )
-                        row_base = layer_base + i * grid.pcols
-                        for j in range(grid.pcols):
-                            b_block = b_blocks[j]
-                            if b_block.nnz == 0:
-                                continue
-                            cs, ce = col_offsets[j], col_offsets[j + 1]
-                            lo, hi = c_row.indptr[cs], c_row.indptr[ce]
-                            partial = build_csc_unchecked(
-                                c_row.nrows,
-                                b_block.ncols,
-                                c_row.indptr[cs : ce + 1] - lo,
-                                c_row.indices[lo:hi],
-                                c_row.data[lo:hi],
-                            )
-                            key = (i, j)
-                            layer_partials[key].append(partial)
-                            layer_bytes[key] += partial.memory_bytes()
-                            cluster.charge_compute_and_memory(
-                                row_base + j,
-                                int(flops_by_j[j]),
-                                a_bytes + b_bytes[j] + layer_bytes[key],
-                            )
 
-        # ------------------------------------------------------------------
         # Cross-layer reduction: AllToAll along each fiber + local merge.
         # Each fiber position (i, j) splits its partial C(i, j) into `layers`
         # column chunks; layer l ends up owning chunk l of everyone's partial.
-        # ------------------------------------------------------------------
         row_bounds = split.a_layers[0].row_bounds
         col_bounds = split.b_layers[0].col_bounds
-        c_blocks: Dict[Tuple[int, int], List[CSCMatrix]] = {}
         with cluster.phase("layer-merge"):
-            buffers: Dict[int, Dict[int, object]] = {r: {} for r in range(P)}
-            merged_per_position: Dict[Tuple[int, int, int], List[CSCMatrix]] = {}
-            for i in range(grid.prows):
-                for j in range(grid.pcols):
-                    cs, ce = col_bounds[j]
-                    chunk_bounds = column_blocks(ce - cs, grid.layers)
-                    for l in range(grid.layers):
-                        pieces = partial_blocks[l][(i, j)]
-                        partial = (
-                            add_matrices(pieces)
-                            if pieces
-                            else CSCMatrix.empty(
-                                row_bounds[i][1] - row_bounds[i][0], ce - cs
-                            )
-                        )
-                        src_rank = grid.rank_of(i, j, l)
-                        cluster.charge_compute(src_rank, sum(p.nnz for p in pieces))
-                        for dst_layer, (chs, che) in enumerate(chunk_bounds):
-                            chunk = partial.extract_column_range(chs, che)
-                            dst_rank = grid.rank_of(i, j, dst_layer)
-                            key = (i, j, dst_layer)
-                            merged_per_position.setdefault(key, []).append(chunk)
-                            if dst_rank != src_rank and chunk.nnz:
-                                buffers[src_rank][dst_rank] = chunk
-            cluster.comm.alltoallv(buffers)
-            # Local merge of the received chunks; reassemble each (i, j) block.
-            for i in range(grid.prows):
-                for j in range(grid.pcols):
-                    cs, ce = col_bounds[j]
-                    chunk_bounds = column_blocks(ce - cs, grid.layers)
-                    chunks_in_order: List[CSCMatrix] = []
-                    for l, (chs, che) in enumerate(chunk_bounds):
-                        pieces = merged_per_position.get((i, j, l), [])
-                        rank = grid.rank_of(i, j, l)
-                        if pieces:
-                            with cluster.measured(rank, "comp"):
-                                merged = add_matrices(pieces)
-                            cluster.charge_compute(rank, sum(p.nnz for p in pieces))
-                        else:
-                            merged = CSCMatrix.empty(
-                                row_bounds[i][1] - row_bounds[i][0], che - chs
-                            )
-                        chunks_in_order.append(merged)
-                    c_blocks[(i, j)] = [stack_columns(chunks_in_order,
-                                                      nrows=row_bounds[i][1] - row_bounds[i][0])]
+            layer_blocks = [p.merge(cluster) for p in partials]
+            if grid.layers == 1:
+                # One layer: each process's chunk is its whole partial, so the
+                # exchange is empty and the merge of one chunk only charges.
+                c_blocks = layer_blocks[0]
+                chunk_nnz = [block.nnz for block in c_blocks.values()]
+            else:
+                c_blocks, chunk_nnz = self._exchange_chunks(
+                    cluster, grid, layer_blocks, row_bounds, col_bounds
+                )
+            cluster.charge_compute_bulk(chunk_nnz)
 
         # C stays distributed over the layer grid's (i, j) blocks (each block
         # fully merged across layers); the global matrix assembles lazily.
@@ -267,10 +151,10 @@ class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
             DistributedBlocks2D(
                 nrows=prepared.a.nrows,
                 ncols=prepared.b.ncols,
-                grid=layer_grid,
+                grid=grid.layer_grid,
                 row_bounds=list(row_bounds),
                 col_bounds=list(col_bounds),
-                blocks={key: blocks[0] for key, blocks in c_blocks.items()},
+                blocks=c_blocks,
             )
         )
 
@@ -286,6 +170,39 @@ class SplitSpGEMM3D(DistributedSpGEMMAlgorithm):
             info=info,
             distributed_c=op_c,
         )
+
+    @staticmethod
+    def _exchange_chunks(cluster, grid, layer_blocks, row_bounds, col_bounds):
+        """AllToAll the partials' column chunks along each fiber and merge them;
+        return the C blocks and, per rank, the entries its merge summed."""
+        buffers: Dict[int, Dict[int, object]] = {r: {} for r in range(cluster.nprocs)}
+        # chunks[(i, j)][l][d]: chunk d of layer l's partial C(i, j), bound for layer d.
+        chunks: Dict[Tuple[int, int], List[List[CSCMatrix]]] = {}
+        for i, j in layer_blocks[0]:
+            cs, ce = col_bounds[j]
+            bounds = column_blocks(ce - cs, grid.layers)
+            chunks[(i, j)] = [
+                [layer[(i, j)].extract_column_range(*b) for b in bounds]
+                for layer in layer_blocks
+            ]
+            for l, row in enumerate(chunks[(i, j)]):
+                for d, chunk in enumerate(row):
+                    if d != l and chunk.nnz:
+                        buffers[grid.rank_of(i, j, l)][grid.rank_of(i, j, d)] = chunk
+        cluster.comm.alltoallv(buffers)
+        # Local merge of the received chunks; reassemble each (i, j) block.
+        c_blocks: Dict[Tuple[int, int], CSCMatrix] = {}
+        chunk_nnz = [0] * cluster.nprocs
+        for (i, j), per_layer in chunks.items():
+            merged = []
+            for d in range(grid.layers):
+                pieces = [row[d] for row in per_layer]
+                rank = grid.rank_of(i, j, d)
+                with cluster.measured(rank, "comp"):
+                    merged.append(add_matrices(pieces))
+                chunk_nnz[rank] = sum(p.nnz for p in pieces)
+            c_blocks[(i, j)] = stack_columns(merged, nrows=row_bounds[i][1] - row_bounds[i][0])
+        return c_blocks, chunk_nnz
 
     # ------------------------------------------------------------------
     @classmethod

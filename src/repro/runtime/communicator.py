@@ -236,29 +236,35 @@ class Communicator:
     # Collectives
     # ------------------------------------------------------------------
     def _bcast_charges(
-        self, nbytes: int, root: int, ranks: List[int]
+        self, nbytes: np.ndarray, root_pos: np.ndarray, g: int
     ) -> Tuple[np.ndarray, ...]:
-        """Per-rank (messages, sent, received, comm, other) of one broadcast."""
-        g = len(ranks)
+        """Per-member (messages, sent, received, comm, other) of ``g``-rank broadcasts.
+
+        Row ``k`` of each ``len(nbytes) × g`` table is a broadcast of
+        ``nbytes[k]`` bytes rooted at group position ``root_pos[k]``.  Tree
+        positions are relative to the root (the standard relative-rank
+        rotation), and every element gets the scalar cost model's arithmetic.
+        """
         model = self._model()
-        ranks_arr = np.asarray(ranks, dtype=_INDEX_DTYPE)
-        # Tree positions are assigned relative to the root's position in the
-        # group list (the standard relative-rank rotation).
-        root_pos = ranks.index(root)
-        send_counts = binomial_send_counts(g)[(np.arange(g) - root_pos) % g]
-        recv_counts = np.ones(g, dtype=_INDEX_DTYPE)
-        recv_counts[root_pos] = 0
-        rounds = max(1, math.ceil(math.log2(g))) if g > 1 else 0
-        messages = send_counts
-        bytes_sent = send_counts * nbytes
-        bytes_received = recv_counts * nbytes
-        # Every participant is on the critical path of the full tree depth.
-        comm = np.full(g, rounds * model.message_cost(nbytes), dtype=np.float64)
-        other = np.full(g, model.pack_cost(nbytes), dtype=np.float64)
+        pos = (np.arange(g, dtype=_INDEX_DTYPE)[None, :] - root_pos[:, None]) % g
+        messages = binomial_send_counts(g)[pos]
+        sent = messages * nbytes[:, None]
+        received = (pos != 0) * nbytes[:, None]
         if g == 1:
-            comm[:] = 0.0
-            other[:] = 0.0
-        return ranks_arr, messages, bytes_sent, bytes_received, comm, other
+            zeros = np.zeros(pos.shape, dtype=np.float64)
+            return messages, sent, received, zeros, zeros
+        # Every participant is on the critical path of the full tree depth.
+        rounds = math.ceil(math.log2(g))
+        sizes = nbytes.astype(np.float64)
+        comm = rounds * (model.alpha + model.beta * sizes)
+        other = model.pack_cost_bulk(nbytes)
+        return (
+            messages,
+            sent,
+            received,
+            np.broadcast_to(comm[:, None], pos.shape),
+            np.broadcast_to(other[:, None], pos.shape),
+        )
 
     def bcast(self, payload, root: int, ranks: Optional[Sequence[int]] = None):
         """Broadcast ``payload`` from ``root`` to ``ranks`` (default: everyone).
@@ -270,17 +276,18 @@ class Communicator:
         ranks = list(range(self.nprocs)) if ranks is None else list(ranks)
         if root not in ranks:
             raise ValueError("broadcast root must be a member of the rank group")
-        nbytes = _nbytes(payload)
-        ranks_arr, messages, sent, received, comm, other = self._bcast_charges(
-            nbytes, root, ranks
+        messages, sent, received, comm, other = self._bcast_charges(
+            np.array([_nbytes(payload)], dtype=_INDEX_DTYPE),
+            np.array([ranks.index(root)], dtype=_INDEX_DTYPE),
+            len(ranks),
         )
         self._charge_group(
-            ranks_arr,
-            messages=messages,
-            bytes_sent=sent,
-            bytes_received=received,
-            comm_seconds=comm,
-            other_seconds=other,
+            np.asarray(ranks, dtype=_INDEX_DTYPE),
+            messages=messages[0],
+            bytes_sent=sent[0],
+            bytes_received=received[0],
+            comm_seconds=comm[0],
+            other_seconds=other[0],
             collective="bcast",
         )
         return {rank: payload for rank in ranks}
@@ -292,48 +299,55 @@ class Communicator:
         """Charge a batch of broadcasts — ``(payload, root, ranks)`` triples — at once.
 
         Produces byte-for-byte the same ledger as looping :meth:`bcast`, but
-        aggregates all per-rank deltas into numpy arrays and lands them with
-        one :meth:`~repro.runtime.stats.PhaseLedger.charge_bulk` call, which is
-        what keeps a √P-stage SUMMA sweep O(stages) in Python instead of
-        O(stages · √P · group).
+        lands all per-rank deltas with one
+        :meth:`~repro.runtime.stats.PhaseLedger.charge_bulk` call.  A batch
+        whose groups all have one size (every SUMMA stage) computes its
+        charges in one pass over an items × g table; a mixed batch computes
+        them item by item, in the same event order.
         """
-        all_ranks: List[np.ndarray] = []
-        all_msgs: List[np.ndarray] = []
-        all_sent: List[np.ndarray] = []
-        all_recv: List[np.ndarray] = []
-        all_comm: List[np.ndarray] = []
-        all_other: List[np.ndarray] = []
-        results: List[Dict[int, object]] = []
-        for payload, root, ranks in items:
-            ranks = list(ranks)
-            if root not in ranks:
+        groups = [list(ranks) for _, _, ranks in items]
+        root_pos = []
+        for (_, root, _), group in zip(items, groups):
+            if root not in group:
                 raise ValueError("broadcast root must be a member of the rank group")
-            nbytes = _nbytes(payload)
-            ranks_arr, messages, sent, received, comm, other = self._bcast_charges(
-                nbytes, root, ranks
-            )
-            all_ranks.append(ranks_arr)
-            all_msgs.append(messages)
-            all_sent.append(sent)
-            all_recv.append(received)
-            all_comm.append(comm)
-            all_other.append(other)
-            if self.check_conservation and int(sent.sum()) != int(received.sum()):
+            root_pos.append(group.index(root))
+        results = [
+            {rank: payload for rank in group}
+            for (payload, _, _), group in zip(items, groups)
+        ]
+        if not items:
+            return results
+        nbytes = np.array([_nbytes(p) for p, _, _ in items], dtype=_INDEX_DTYPE)
+        root_pos = np.array(root_pos, dtype=_INDEX_DTYPE)
+        sizes = [len(group) for group in groups]
+        if len(set(sizes)) == 1:
+            tables = self._bcast_charges(nbytes, root_pos, sizes[0])
+        else:
+            per_item = [
+                self._bcast_charges(nbytes[k : k + 1], root_pos[k : k + 1], g)
+                for k, g in enumerate(sizes)
+            ]
+            tables = [np.concatenate([c[f].ravel() for c in per_item]) for f in range(5)]
+        messages, sent, received, comm, other = (t.ravel() for t in tables)
+        if self.check_conservation:
+            starts = np.cumsum([0] + sizes[:-1])
+            item_sent = np.add.reduceat(sent, starts)
+            item_received = np.add.reduceat(received, starts)
+            bad = np.flatnonzero(item_sent != item_received)
+            if bad.size:
                 raise AssertionError(
                     "bcast_many violates conservation: group sent "
-                    f"{int(sent.sum())} bytes but received {int(received.sum())}"
+                    f"{int(item_sent[bad[0]])} bytes but received "
+                    f"{int(item_received[bad[0]])}"
                 )
-            results.append({rank: payload for rank in ranks})
-        if not all_ranks:
-            return results
         self.cluster.ledger.charge_bulk(
             self.cluster.current_phase,
-            np.concatenate(all_ranks),
-            messages=np.concatenate(all_msgs),
-            bytes_sent=np.concatenate(all_sent),
-            bytes_received=np.concatenate(all_recv),
-            comm_seconds=np.concatenate(all_comm),
-            other_seconds=np.concatenate(all_other),
+            np.array([r for group in groups for r in group], dtype=_INDEX_DTYPE),
+            messages=messages,
+            bytes_sent=sent,
+            bytes_received=received,
+            comm_seconds=comm,
+            other_seconds=other,
         )
         return results
 

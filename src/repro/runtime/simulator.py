@@ -176,21 +176,6 @@ class SimulatedCluster:
         if cap and nbytes > cap:
             raise MemoryLimitExceeded(rank, int(nbytes), cap)
 
-    def charge_compute_and_memory(self, rank: int, flops: int, nbytes: int) -> None:
-        """Fused :meth:`charge_compute` + :meth:`charge_memory` for one rank.
-
-        Applies the exact per-call operations in the same order with a single
-        stats lookup — the hot per-(block, stage) path of the 2D/3D stage
-        loops charges both on every iteration.
-        """
-        st = self.stats(rank)
-        st.flops += int(flops)
-        st.charge_time("comp", self.cost_model.compute_cost(int(flops)))
-        st.note_memory(int(nbytes))
-        cap = self.cost_model.memory_capacity_bytes
-        if cap and nbytes > cap:
-            raise MemoryLimitExceeded(rank, int(nbytes), cap)
-
     # ------------------------------------------------------------------
     # Batched charging (one vectorised pass instead of a per-rank loop)
     # ------------------------------------------------------------------
@@ -218,6 +203,30 @@ class SimulatedCluster:
             st = stats_list[r]
             st.flops += int(arr[r])
             st.time["comp"] += float(costs[r])
+
+    def charge_compute_and_memory_bulk(self, ranks, flops, nbytes) -> None:
+        """Fused :meth:`charge_compute` + :meth:`charge_memory` for many ranks.
+
+        ``ranks``/``flops``/``nbytes`` are aligned, one entry per charge.  The
+        charges land in the given order with the per-call arithmetic of the
+        scalar methods, so every counter is bit-identical to looping them; an
+        over-capacity entry raises after it is charged, leaving later entries
+        uncharged.  This is how a SUMMA stage charges all its blocks at once.
+        """
+        costs = self.cost_model.compute_cost_bulk(flops).tolist()
+        cap = self.cost_model.memory_capacity_bytes
+        stats_list = self.ledger.phase(self._current_phase)
+        for rank, fl, cost, nb in zip(
+            np.asarray(ranks).tolist(), np.asarray(flops).tolist(), costs,
+            np.asarray(nbytes).tolist(),
+        ):
+            st = stats_list[rank]
+            st.flops += fl
+            st.time["comp"] += cost
+            if nb > st.peak_memory_bytes:
+                st.peak_memory_bytes = nb
+            if cap and nb > cap:
+                raise MemoryLimitExceeded(rank, nb, cap)
 
     def charge_other_bytes_bulk(self, nbytes_per_rank) -> None:
         """Vectorised :meth:`charge_other_bytes` (one value per rank)."""

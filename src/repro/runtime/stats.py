@@ -229,7 +229,8 @@ class PhaseLedger:
         allowed); each keyword is either ``None``, a scalar applied to every
         event, or an array aligned with ``ranks``.  Aggregation happens with
         ``np.add.at`` so a phase with millions of messages costs a handful of
-        numpy calls plus one Python loop over the *distinct* ranks touched.
+        numpy calls plus one Python loop over the *distinct* ranks touched,
+        which adds each field directly (a ``None`` field adds zero).
         """
         ranks = np.asarray(ranks, dtype=np.int64)
         if ranks.size == 0:
@@ -237,35 +238,37 @@ class PhaseLedger:
         if ranks.min() < 0 or ranks.max() >= self.nprocs:
             raise IndexError("rank id outside 0..nprocs-1 in charge_bulk")
         stats_list = self.phase(phase)
+        touched = np.unique(ranks)
 
-        def _accumulate(values, dtype):
-            if values is None:
-                return None
+        def _totals(values, dtype):
+            """Per-rank totals of one field at the touched ranks (0 if ``None``)."""
             acc = np.zeros(self.nprocs, dtype=dtype)
-            values = np.asarray(values)
-            if values.ndim == 0:
-                np.add.at(acc, ranks, np.broadcast_to(values, ranks.shape))
-            else:
-                if values.shape != ranks.shape:
+            if values is not None:
+                values = np.asarray(values)
+                if values.ndim == 0:
+                    values = np.broadcast_to(values, ranks.shape)
+                elif values.shape != ranks.shape:
                     raise ValueError("charge_bulk array not aligned with ranks")
                 np.add.at(acc, ranks, values)
-            return acc
+            return acc[touched]
 
-        acc_msgs = _accumulate(messages, np.int64)
-        acc_gets = _accumulate(rdma_gets, np.int64)
-        acc_sent = _accumulate(bytes_sent, np.int64)
-        acc_recv = _accumulate(bytes_received, np.int64)
-        acc_comm = _accumulate(comm_seconds, np.float64)
-        acc_other = _accumulate(other_seconds, np.float64)
-        for r in np.unique(ranks):
-            stats_list[r].charge_bulk(
-                messages=0 if acc_msgs is None else acc_msgs[r],
-                rdma_gets=0 if acc_gets is None else acc_gets[r],
-                bytes_sent=0 if acc_sent is None else acc_sent[r],
-                bytes_received=0 if acc_recv is None else acc_recv[r],
-                comm_seconds=0.0 if acc_comm is None else acc_comm[r],
-                other_seconds=0.0 if acc_other is None else acc_other[r],
-            )
+        counts = np.stack(
+            [_totals(v, np.int64) for v in (messages, rdma_gets, bytes_sent, bytes_received)],
+            axis=1,
+        ).tolist()
+        seconds = np.stack(
+            [_totals(v, np.float64) for v in (comm_seconds, other_seconds)], axis=1
+        ).tolist()
+        for r, (msgs, gets, sent, received), (comm, other) in zip(
+            touched.tolist(), counts, seconds
+        ):
+            st = stats_list[r]
+            st.messages_sent += msgs
+            st.rdma_gets += gets
+            st.bytes_sent += sent
+            st.bytes_received += received
+            st.time["comm"] += comm
+            st.time["other"] += other
 
     # ------------------------------------------------------------------
     # Conservation invariant

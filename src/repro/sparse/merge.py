@@ -21,6 +21,7 @@ import numpy as np
 from .csc import CSCMatrix, build_csc_unchecked
 from .conversion import as_csc
 from .kernels import resolve_kernel_variant
+from .ops import _keys_fit_int64
 
 __all__ = ["add_matrices", "kway_merge_columns", "stack_columns"]
 
@@ -89,7 +90,7 @@ def add_matrices(matrices: Iterable) -> CSCMatrix:
         return mats[0].copy()
     dt = np.result_type(*[m.dtype for m in mats])
     mats = [m if m.dtype == dt else m.astype(dt) for m in mats]
-    if resolve_kernel_variant() == "python":
+    if resolve_kernel_variant() == "python" or not _keys_fit_int64(mats[0]):
         return _add_matrices_python(mats)
     rows = np.concatenate([m.indices for m in mats])
     # One repeat over the tiled column ids builds every operand's column
@@ -103,8 +104,12 @@ def add_matrices(matrices: Iterable) -> CSCMatrix:
         return CSCMatrix.empty(shape[0], shape[1], dtype=dt)
     # Inlined ``from_coo(..., sum_duplicates=True)`` assembly: the operands
     # are valid CSC matrices of a checked common shape, so the COO triplets
-    # need no bounds validation and the result no invariant re-checks.
-    order = np.lexsort((rows, cols))
+    # need no bounds validation and the result no invariant re-checks.  A
+    # stable sort of the linearised (col, row) keys is the permutation
+    # ``np.lexsort((rows, cols))`` gives, but each operand is already one
+    # sorted run (CSC rows are sorted per column), which timsort merges in
+    # O(N log k) for k operands.
+    order = np.argsort(cols * shape[0] + rows, kind="stable")
     rows = rows[order]
     cols = cols[order]
     vals = vals[order]

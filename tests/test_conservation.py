@@ -27,7 +27,14 @@ from repro.core import (
     plan_block_fetch_all,
 )
 from repro.matrices.generators import banded, community_graph
-from repro.runtime import PhaseLedger, SimulatedCluster, binomial_send_counts
+from repro.runtime import (
+    CATEGORIES,
+    PERLMUTTER,
+    MemoryLimitExceeded,
+    PhaseLedger,
+    SimulatedCluster,
+    binomial_send_counts,
+)
 
 
 def _phase_balance(cluster, phase="default"):
@@ -147,26 +154,121 @@ class TestCollectiveConservation:
         ledger.assert_conserved()
 
 
+def _ledger_rows(cluster):
+    """Every counter of every rank, floats as ``float.hex``: equal rows mean
+    byte-identical ledgers, one ulp apart means not equal."""
+    return [
+        (name, st.rank, *(float.hex(st.time[c]) for c in CATEGORIES),
+         st.messages_sent, st.rdma_gets, st.bytes_sent, st.bytes_received,
+         st.flops, st.peak_memory_bytes)
+        for name in cluster.ledger.phase_order
+        for st in cluster.ledger.phases[name]
+    ]
+
+
+def _reference_bcast(cluster, payload, root, ranks):
+    """Charge one binomial broadcast from the scalar cost-model formulas."""
+    model = cluster.cost_model
+    g = len(ranks)
+    nbytes = payload.nbytes
+    counts = binomial_send_counts(g)
+    rounds = math.ceil(math.log2(g)) if g > 1 else 0
+    for k, rank in enumerate(ranks):
+        st = cluster.stats(rank)
+        pos = (k - ranks.index(root)) % g
+        st.messages_sent += int(counts[pos])
+        st.bytes_sent += int(counts[pos]) * nbytes
+        st.bytes_received += nbytes if pos else 0
+        if g > 1:
+            st.time["comm"] += rounds * model.message_cost(nbytes)
+            st.time["other"] += model.pack_cost(nbytes)
+
+
+def _equal_size_batch(g, nprocs=64):
+    """One broadcast rooted at every group position; sizes include 0 bytes."""
+    group = [(7 * k + 3) % nprocs for k in range(g)]
+    return [(np.zeros(k % 4 * 13), group[k], group) for k in range(g)]
+
+
+BCAST_BATCHES = {
+    "mixed-sizes": [
+        (np.zeros(10), 0, [0, 1, 2, 3]),
+        (np.zeros(77), 5, [4, 5, 6]),
+        (np.zeros(3), 7, [7]),
+    ],
+    "mixed-overlapping": [
+        (np.zeros(9), 9, [9, 2, 40, 17, 33]),
+        (np.zeros(0), 2, [2, 9]),
+        (np.zeros(5), 33, [33, 9, 2, 40, 17]),
+    ],
+    "g1-groups": [(np.zeros(k), k, [k]) for k in range(5)],
+    **{f"equal-g{g}": _equal_size_batch(g) for g in (2, 3, 5, 32)},
+}
+
+
 class TestBatchedPrimitives:
-    def test_bcast_many_matches_looped_bcast(self):
-        items = [
-            (np.zeros(10), 0, [0, 1, 2, 3]),
-            (np.zeros(77), 5, [4, 5, 6]),
-            (np.zeros(3), 7, [7]),
-        ]
-        looped = SimulatedCluster(8)
+    @pytest.mark.parametrize("batch", sorted(BCAST_BATCHES))
+    def test_bcast_many_matches_looped_bcast(self, batch):
+        items = BCAST_BATCHES[batch]
+        reference = SimulatedCluster(64)
+        looped = SimulatedCluster(64)
         for payload, root, ranks in items:
+            _reference_bcast(reference, payload, root, ranks)
             looped.comm.bcast(payload, root=root, ranks=ranks)
-        batched = SimulatedCluster(8)
+        batched = SimulatedCluster(64)
         results = batched.comm.bcast_many(items)
-        assert [set(r) for r in results] == [{0, 1, 2, 3}, {4, 5, 6}, {7}]
-        for r in range(8):
-            a, b = looped.stats(r), batched.stats(r)
-            assert a.bytes_sent == b.bytes_sent
-            assert a.bytes_received == b.bytes_received
-            assert a.messages_sent == b.messages_sent
-            assert a.comm_time == pytest.approx(b.comm_time)
-            assert a.other_time == pytest.approx(b.other_time)
+        assert [set(r) for r in results] == [set(ranks) for _, _, ranks in items]
+        assert _ledger_rows(batched) == _ledger_rows(looped) == _ledger_rows(reference)
+        batched.ledger.assert_conserved()
+
+    def test_bcast_many_rejects_root_outside_group(self):
+        cl = SimulatedCluster(4)
+        with pytest.raises(ValueError, match="root"):
+            cl.comm.bcast_many([(np.zeros(2), 0, [0, 1]), (np.zeros(2), 3, [1, 2])])
+        assert _ledger_rows(cl) == []
+
+    def test_ledger_charge_bulk_matches_per_event_rank_charges(self):
+        """Repeated ranks and ``None`` fields: the scatter adds each rank's
+        events in order, exactly as one ``RankStats.charge_bulk`` per event."""
+        ranks = [3, 1, 3, 0, 3, 1, 2]
+        received = [10, 0, 7, 1, 5, 2, 9]
+        comm = [0.1, 0.2, 0.3, 1e-17, 0.7, 1e-9, 3.0]
+        bulk = PhaseLedger(nprocs=5)
+        bulk.charge_bulk("p", ranks, messages=1, bytes_received=received,
+                         comm_seconds=comm, other_seconds=None, rdma_gets=None)
+        looped = PhaseLedger(nprocs=5)
+        for rank, nbytes, seconds in zip(ranks, received, comm):
+            looped.rank("p", rank).charge_bulk(
+                messages=1, bytes_received=nbytes, comm_seconds=seconds
+            )
+        for a, b in zip(bulk.phase("p"), looped.phase("p")):
+            assert float.hex(a.time["comm"]) == float.hex(b.time["comm"])
+            assert a.time == b.time
+            assert (a.messages_sent, a.rdma_gets, a.bytes_sent, a.bytes_received) == (
+                b.messages_sent, b.rdma_gets, b.bytes_sent, b.bytes_received
+            )
+        assert bulk.rank("p", 4).messages_sent == 0
+
+    def test_charge_compute_and_memory_bulk_matches_scalar_charges(self):
+        """Same counters as ``charge_compute`` + ``charge_memory`` per entry,
+        and the same rank named, with later entries uncharged, on overflow."""
+        ranks, flops, nbytes = [0, 2, 3], [5, 0, 7_000_003], [100, 900, 50]
+        capped = PERLMUTTER.with_memory_capacity(800)
+        bulk = SimulatedCluster(4, cost_model=capped)
+        looped = SimulatedCluster(4, cost_model=capped)
+        with pytest.raises(MemoryLimitExceeded) as from_bulk:
+            bulk.charge_compute_and_memory_bulk(ranks, flops, nbytes)
+        with pytest.raises(MemoryLimitExceeded) as from_loop:
+            for rank, fl, nb in zip(ranks, flops, nbytes):
+                looped.charge_compute(rank, fl)
+                looped.charge_memory(rank, nb)
+        assert (from_bulk.value.rank, from_bulk.value.needed) == (2, 900)
+        assert (from_loop.value.rank, from_loop.value.needed) == (2, 900)
+        assert _ledger_rows(bulk) == _ledger_rows(looped)
+        uncapped = SimulatedCluster(4)
+        uncapped.charge_compute_and_memory_bulk(ranks, flops, nbytes)
+        assert uncapped.stats(3).flops == 7_000_003
+        assert uncapped.stats(3).peak_memory_bytes == 50
 
     def test_send_many_matches_looped_send(self):
         sends = [(0, 1, 64), (2, 3, 128), (3, 0, 8), (1, 1, 999)]  # incl. self-send

@@ -233,6 +233,19 @@ class TestBaselines:
         np.testing.assert_allclose(result.C.to_dense(), expected, atol=1e-9)
         assert layers in (2, 4, 8, 16)
 
+    @pytest.mark.parametrize("nprocs", [4, 16, 1024])
+    def test_3d_default_layers_fall_back_to_one_at_powers_of_four(self, nprocs):
+        """``layers=2`` is invalid for every P = 4^k (P/2 is no square), so the
+        benchmark's ``3d`` configs at P = 4, 16 and 1024 run one layer: 2D
+        SUMMA plus a no-op layer merge.  Changing the default changes them."""
+        A = _random(64, 64, 0.05, seed=35, symmetric=True)
+        result = SplitSpGEMM3D().multiply(A, A, SimulatedCluster(nprocs))
+        assert SplitSpGEMM3D().layers == 2
+        assert result.info["layers"] == 1.0
+        np.testing.assert_allclose(
+            result.C.to_dense(), (to_scipy(A) @ to_scipy(A)).toarray(), atol=1e-9
+        )
+
 
 # ----------------------------------------------------------------------
 # Registry
