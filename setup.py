@@ -3,15 +3,8 @@
 A plain ``setup.py`` is kept so that ``pip install -e .`` works in fully
 offline environments where the ``wheel`` package (needed for PEP 517
 editable installs) may not be available — pip falls back to the legacy
-``setup.py develop`` path in that case.
-
-Extras
-------
-``fast``
-    Pulls in :mod:`numba` so ``REPRO_KERNEL=auto`` (the default) can select
-    the jitted local-SpGEMM kernels.  Everything works without it — the
-    selector degrades to the vectorised numpy kernels, which produce
-    bit-identical results (see ``docs/kernels.md``).
+``setup.py develop`` path in that case.  There are no extras: the local
+kernels need only numpy and scipy (see ``docs/kernels.md``).
 """
 
 from setuptools import find_packages, setup
@@ -31,9 +24,4 @@ setup(
         "numpy>=1.24",
         "scipy>=1.10",
     ],
-    extras_require={
-        # Optional jitted kernels; results are bit-identical with or
-        # without it, only host wall-clock changes.
-        "fast": ["numba>=0.59"],
-    },
 )

@@ -3,7 +3,7 @@ Sparse-Sparse Matrix Multiplication" (Hong & Buluç, SC 2024).
 
 The package is organised bottom-up:
 
-``repro.sparse``        local CSC/DCSC containers and SpGEMM kernels
+``repro.sparse``        local CSC container and SpGEMM kernels
 ``repro.runtime``       simulated distributed-memory runtime (ranks, RDMA
                         windows, collectives, α–β–γ cost model)
 ``repro.distribution``  1D / 2D / 3D distributed matrix layouts
@@ -40,7 +40,7 @@ from .core import (
 from .experiments import ExperimentGrid, RunConfig, RunRecord, run_grid
 from .matrices import load_dataset, dataset_names
 from .runtime import CostModel, LAPTOP, PERLMUTTER, SimulatedCluster
-from .sparse import CSCMatrix, DCSCMatrix, as_csc, as_dcsc, local_spgemm
+from .sparse import CSCMatrix, as_csc, local_spgemm
 
 __version__ = "1.0.0"
 
@@ -65,9 +65,7 @@ __all__ = [
     "PERLMUTTER",
     "SimulatedCluster",
     "CSCMatrix",
-    "DCSCMatrix",
     "as_csc",
-    "as_dcsc",
     "local_spgemm",
     "__version__",
 ]

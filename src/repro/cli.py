@@ -11,7 +11,6 @@ Usage (after ``pip install -e .``)::
     python -m repro sweep     --datasets hv15r,eukarya --algorithms 1d,2d \
                               --nprocs 4,16,64 --workers 4 --records runs.jsonl
     python -m repro sweep     --workloads bc --datasets eukarya --bc-sources 16
-    python -m repro bench     --out BENCH_PR5.json --workers 2
     python -m repro serve     --socket /tmp/repro.sock --records runs.jsonl
     python -m repro datasets
 
@@ -36,10 +35,8 @@ from .experiments import (
     COST_MODELS,
     ExperimentGrid,
     JobRejected,
-    RunConfig,
     run_grid,
     workload_names,
-    write_trajectory,
 )
 from .matrices import dataset_names, load_dataset, matrix_stats, read_matrix_market
 from .runtime import PERLMUTTER, available_backends
@@ -72,6 +69,20 @@ def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive(cast):
+    """An argparse ``type`` that rejects values ≤ 0 (argparse exits 2)."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        return value
+
+    # argparse names the type in its "invalid <type> value" message.
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dataset", default="hv15r", choices=dataset_names(),
@@ -81,8 +92,10 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
         "--matrix", default=None,
         help="path to a MatrixMarket file (overrides --dataset)",
     )
-    parser.add_argument("--scale", type=float, default=0.5, help="dataset scale factor")
-    parser.add_argument("--nprocs", type=int, default=16, help="simulated process count")
+    parser.add_argument("--scale", type=_positive(float), default=0.5,
+                        help="dataset scale factor")
+    parser.add_argument("--nprocs", type=_positive(int), default=16,
+                        help="simulated process count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,33 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "flight")
     _add_kernel_argument(p_sweep)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the representative multi-workload bench grid and emit a "
-             "BENCH_*.json perf trajectory",
-    )
-    p_bench.add_argument(
-        "--workloads", default=",".join(workload_names()),
-        help=f"comma-separated workloads to bench ({', '.join(workload_names())})",
-    )
-    p_bench.add_argument("--scale", type=float, default=0.2,
-                         help="dataset scale factor of the bench grid")
-    p_bench.add_argument("--workers", type=int, default=0,
-                         help="worker processes (0/1 = serial)")
-    p_bench.add_argument("--records", default=None,
-                         help="JSONL store for the bench records (enables caching)")
-    p_bench.add_argument("--out", default="BENCH.json",
-                         help="path of the rolled-up trajectory JSON")
-    p_bench.add_argument("--label", default=None,
-                         help="trajectory label (default: the --out file stem)")
-    p_bench.add_argument("--force", action="store_true",
-                         help="re-execute configs even on a cache hit")
-    p_bench.add_argument("--backend", default=None,
-                         help="force one execution backend for every bench "
-                              "config (default: the built-in mix — simulated "
-                              "plus one shm validation run per workload)")
-    _add_kernel_argument(p_bench)
-
     p_serve = sub.add_parser(
         "serve",
         help="long-lived experiment service: one scheduler + resident "
@@ -332,9 +318,7 @@ def _activate_kernel(name: Optional[str]) -> Optional[str]:
     """Validate and activate a ``--kernel`` value (``None`` = leave as-is).
 
     Returns the validation message on an unknown variant (for a clean exit 2
-    before anything runs).  An *unavailable* variant (``numba`` without the
-    package) is not an error: the selector degrades to numpy with one
-    warning, per the fallback policy in ``docs/kernels.md``.
+    before anything runs).
     """
     if name is None:
         return None
@@ -600,14 +584,10 @@ def _validate_grid(grid: ExperimentGrid) -> List[str]:
             f"unknown backends: {', '.join(unknown)}; available backends: "
             f"{', '.join(available_backends())}"
         )
-    bad = [p for p in grid.process_counts if p <= 0]
-    if bad:
-        problems.append(f"process counts must be positive: {bad}")
-    bad = [k for k in grid.block_splits if k <= 0]
-    if bad:
-        problems.append(f"block splits must be positive: {bad}")
-    if grid.scale <= 0:
-        problems.append(f"scale must be positive: {grid.scale}")
+    try:
+        grid.expand()  # RunConfig rejects nprocs/block_split < 1 and scale <= 0
+    except ValueError as exc:
+        problems.append(str(exc))
     if "bc" in grid.workloads:
         if grid.bc_sources is None:
             problems.append("the bc workload requires --bc-sources")
@@ -725,121 +705,6 @@ def _cmd_sweep(args) -> int:
     return 0 if all(r.conserved for r in result.records) else 1
 
 
-def _bench_configs(workload: str, scale: float) -> List[RunConfig]:
-    """The representative bench grid of one workload (one figure family)."""
-    if workload == "squaring":
-        return [
-            RunConfig(dataset="hv15r", algorithm="1d", strategy="none",
-                      nprocs=p, block_split=32, scale=scale)
-            for p in (4, 16)
-        ] + [
-            RunConfig(dataset="hv15r", algorithm="2d", strategy="random",
-                      nprocs=16, block_split=32, scale=scale),
-            RunConfig(dataset="eukarya", algorithm="1d", strategy="metis",
-                      nprocs=8, block_split=32, scale=scale),
-        ]
-    if workload == "amg-restriction":
-        return [
-            RunConfig(dataset="queen", workload="amg-restriction",
-                      algorithm="1d", amg_phase=phase, nprocs=16, scale=scale)
-            for phase in ("rta", "rtar")
-        ]
-    if workload == "chained-squaring":
-        return [
-            RunConfig(dataset="hv15r", workload="chained-squaring", algorithm="1d",
-                      nprocs=4, block_split=32, scale=scale, square_k=2),
-        ]
-    if workload == "bc":
-        return [
-            RunConfig(dataset="hv15r", workload="bc", algorithm="1d", nprocs=4,
-                      scale=scale, bc_sources=8, bc_batch=8, bc_source_stride=4),
-            # The same run with A held resident: the setup phase is charged
-            # once per run, so times drop while per-iteration fetch volumes
-            # stay put.
-            RunConfig(dataset="hv15r", workload="bc", algorithm="1d", nprocs=4,
-                      scale=scale, bc_sources=8, bc_batch=8, bc_source_stride=4,
-                      resident=True),
-        ]
-    if workload == "triangles":
-        return [
-            RunConfig(dataset="eukarya", workload="triangles", algorithm="1d",
-                      nprocs=4, block_split=32, scale=scale),
-            # Same count; the fetch plan is pruned against the mask support.
-            RunConfig(dataset="eukarya", workload="triangles", algorithm="1d",
-                      nprocs=4, block_split=32, scale=scale, mask_mode="early"),
-            RunConfig(dataset="hv15r", workload="triangles", algorithm="2d",
-                      nprocs=4, block_split=32, scale=scale),
-        ]
-    if workload == "mcl":
-        return [
-            RunConfig(dataset="eukarya", workload="mcl", algorithm="1d",
-                      nprocs=4, block_split=32, scale=scale),
-        ]
-    raise ValueError(f"unknown workload {workload!r}; available: {workload_names()}")
-
-
-def _cmd_bench(args) -> int:
-    import dataclasses
-    import time
-
-    workloads = _parse_csv(args.workloads, str)
-    unknown = [w for w in workloads if w not in workload_names()]
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    problem = _check_backend(args.backend) or _activate_kernel(args.kernel)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    configs: List[RunConfig] = []
-    for workload in workloads:
-        base = _bench_configs(workload, args.scale)
-        if args.backend is not None:
-            base = [dataclasses.replace(c, backend=args.backend) for c in base]
-        else:
-            # The default mix carries one measured validation point per
-            # workload: the workload's first representative config re-run
-            # on the shm backend at P=4 (small, so the physical transfers
-            # stay cheap; the modelled counters are backend-invariant).
-            base = base + [dataclasses.replace(base[0], backend="shm", nprocs=4)]
-        configs.extend(base)
-    t0 = time.perf_counter()
-    result = run_grid(
-        configs,
-        workers=args.workers,
-        store=args.records,
-        force=args.force,
-        progress=print,
-    )
-    wall = time.perf_counter() - t0
-    print(format_table([_record_row(r) for r in result.records], title="bench"))
-    print()
-    print(result.summary())
-    label = args.label or pathlib.Path(args.out).stem
-    write_trajectory(
-        args.out,
-        result.records,
-        label=label,
-        wall_seconds=wall,
-        sweep_stats={
-            "total": result.stats.total,
-            "cached": result.stats.cached,
-            "executed": result.stats.executed,
-            "deduped": result.stats.deduped,
-            "serial_lane": result.stats.serial_lane,
-            "workers": result.stats.workers,
-            "residency_hits": result.stats.residency_hits,
-            "residency_misses": result.stats.residency_misses,
-            "residency_evictions": result.stats.residency_evictions,
-            "stolen": result.stats.stolen,
-            "disk_hits": result.stats.disk_hits,
-            "disk_misses": result.stats.disk_misses,
-        },
-    )
-    print(f"trajectory written to {args.out}")
-    return 0 if all(r.conserved for r in result.records) else 1
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -910,7 +775,6 @@ _COMMANDS = {
     "triangles": _cmd_triangles,
     "mcl": _cmd_mcl,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
     "datasets": _cmd_datasets,
     "algorithms": _cmd_algorithms,

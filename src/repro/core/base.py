@@ -31,12 +31,7 @@ from typing import Dict, Optional
 
 from ..runtime import PhaseLedger, SimulatedCluster
 from ..sparse import CSCMatrix
-from .pipeline import (
-    DistributedOperand,
-    PreparedMultiply,
-    as_operand,
-    eager_assembly_enabled,
-)
+from .pipeline import DistributedOperand, PreparedMultiply, as_operand
 
 __all__ = ["SpGEMMResult", "DistributedSpGEMMAlgorithm"]
 
@@ -73,8 +68,6 @@ class SpGEMMResult:
     def __post_init__(self) -> None:
         if self.distributed_c is None and self._global_c is None:
             raise ValueError("SpGEMMResult needs a distributed or global C")
-        if eager_assembly_enabled():
-            _ = self.C
 
     # Output access --------------------------------------------------------
     @property

@@ -41,7 +41,6 @@ the paper's convention that inputs are distributed before timing starts.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -72,7 +71,6 @@ __all__ = [
     "as_operand",
     "coerce_columns_1d",
     "coerce_rows_1d",
-    "eager_assembly_enabled",
     "estimate_operand_nbytes",
     "install_operand_cache",
     "operand_cache",
@@ -278,20 +276,6 @@ def install_operand_cache(cache: Optional[OperandCache]) -> Optional[OperandCach
 def operand_cache() -> Optional[OperandCache]:
     """The installed process-wide cache, or ``None`` (hooks disabled)."""
     return _OPERAND_CACHE
-
-
-def eager_assembly_enabled() -> bool:
-    """Assemble every result's global C eagerly (``REPRO_EAGER_ASSEMBLY``).
-
-    Only used by regression tests to prove that laziness never changes a
-    persisted record: a sweep run with this flag set writes byte-identical
-    JSONL to one run without it.
-    """
-    return os.environ.get("REPRO_EAGER_ASSEMBLY", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 @dataclass

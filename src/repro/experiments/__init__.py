@@ -34,7 +34,6 @@ from .records import (
     TriangleStats,
 )
 from .store import ResultStore
-from .trajectory import machine_tag, rollup_records, write_trajectory
 from .workloads import WORKLOADS, execute_workload, workload_names
 
 __all__ = [
@@ -73,9 +72,6 @@ __all__ = [
     "WORKLOADS",
     "execute_config",
     "execute_workload",
-    "machine_tag",
-    "rollup_records",
     "run_grid",
     "workload_names",
-    "write_trajectory",
 ]

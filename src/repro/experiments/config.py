@@ -26,7 +26,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..runtime import LAPTOP, PERLMUTTER, ZERO_COST, CostModel
@@ -58,7 +58,7 @@ _ELIDE_AT_DEFAULT: Dict[str, object] = {
     "mcl_prune": None,
     "mcl_max_iters": None,
     # PR6: execution backend; "simulated" is the pre-PR6 behaviour, so
-    # every pre-PR6 hash (and BENCH overlap) stays stable
+    # every pre-PR6 hash (and the store records cached under it) stays valid
     "backend": "simulated",
 }
 
@@ -148,6 +148,16 @@ class RunConfig:
     #: :mod:`repro.runtime.backend`
     backend: str = "simulated"
 
+    def __post_init__(self) -> None:
+        # Checked here, once, so every entry point (CLI, grids, serve
+        # submits, the python API) rejects a config that cannot run.
+        if self.nprocs < 1:
+            raise ValueError(f"nprocs must be >= 1: {self.nprocs}")
+        if self.block_split < 1:
+            raise ValueError(f"block_split must be >= 1: {self.block_split}")
+        if not self.scale > 0:
+            raise ValueError(f"scale must be positive: {self.scale}")
+
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
 
@@ -162,8 +172,7 @@ class RunConfig:
         Fields added *after* schema v2 shipped (see
         :data:`_ELIDE_AT_DEFAULT`) drop out of the canonical form while they
         hold their default value, so every pre-existing config keeps its
-        pre-existing hash: old record stores stay valid caches and
-        ``BENCH_PRn.json`` snapshots remain comparable across PRs.  A
+        pre-existing hash, and old record stores stay valid caches.  A
         non-default value enters the JSON and discriminates the hash as
         usual.
         """
@@ -295,8 +304,8 @@ class ExperimentGrid:
                     # The post-v2 axes land only on the workloads that read
                     # them: stamping them grid-wide would push non-default
                     # values into the hashes of configs whose executors
-                    # ignore the field, breaking cache reuse and the
-                    # cross-PR BENCH overlap for mixed-workload grids.
+                    # ignore the field, breaking store-cache reuse for
+                    # mixed-workload grids.
                     resident=self.resident if workload == "bc" else False,
                     square_k=(
                         self.square_k if workload == "chained-squaring" else None

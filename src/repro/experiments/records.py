@@ -10,8 +10,7 @@ counts, tagged with the machine that produced it.  Simulated-backend
 records never carry the block, so serial and parallel execution of the
 same simulated grid produce byte-identical JSONL, and a cached record is
 indistinguishable from a fresh run.  Measured fields are machine-local and
-excluded from cross-PR comparison (see ``benchmarks/compare_trajectories``
-and ``docs/accounting.md``).
+never compared across machines (see ``docs/accounting.md``).
 
 The operand plane (shared-memory dataset transport, per-worker resident
 operand caches, affinity routing — see ``experiments/scheduler``) is

@@ -47,7 +47,7 @@ the experiment engine:
 Workload executors read only modelled counters and distributed-operand
 metadata — no executor ever assembles a global output matrix, so
 modelled-only engine runs skip global-C assembly entirely (pinned by a
-byte-identical-store regression test against ``REPRO_EAGER_ASSEMBLY``).
+byte-identical-store regression test that forces eager assembly).
 
 Every executor receives the already-loaded input matrix and resolved cost
 model and returns a :class:`RunRecord` whose ``config_hash`` is left empty
@@ -65,6 +65,8 @@ drivers did (BC §IV-C: METIS *ordering*, partitioning cost amortised away).
 
 from __future__ import annotations
 
+import platform
+import sys
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -107,6 +109,16 @@ def _permutation_bytes(A: CSCMatrix, config: RunConfig) -> int:
     return estimate_redistribution_bytes(A, config.nprocs)
 
 
+def machine_tag() -> Dict[str, str]:
+    """Identify the host that produced a measured record."""
+    return {
+        "hostname": platform.node(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}.{sys.version_info.micro}",
+    }
+
+
 def _measured_stats(config: RunConfig, ledger) -> Optional[MeasuredStats]:
     """Distil a run's measured-transfer ledger into record form.
 
@@ -115,8 +127,6 @@ def _measured_stats(config: RunConfig, ledger) -> Optional[MeasuredStats]:
     """
     if ledger is None:
         return None
-    from .trajectory import machine_tag
-
     return MeasuredStats.from_ledger(ledger, config.backend, machine=machine_tag())
 
 

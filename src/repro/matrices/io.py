@@ -35,7 +35,7 @@ def read_matrix_market(path: PathLike) -> CSCMatrix:
 
 
 def write_matrix_market(path: PathLike, matrix, *, comment: str = "") -> None:
-    """Write a local matrix (CSC/DCSC/scipy) to a MatrixMarket file."""
+    """Write a :class:`CSCMatrix` to a MatrixMarket file."""
     scipy.io.mmwrite(str(path), to_scipy(matrix), comment=comment)
 
 

@@ -23,7 +23,7 @@ keeps algorithm code honest about where synchronisation happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 import numpy as np
 

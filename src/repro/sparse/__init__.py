@@ -1,4 +1,4 @@
-"""Local sparse-matrix substrate: CSC/DCSC containers, kernels, and helpers.
+"""Local sparse-matrix substrate: CSC container, kernels, and helpers.
 
 This subpackage is the single-process foundation the distributed algorithms
 are built on.  Everything here is deterministic, numpy-backed, and oblivious
@@ -6,8 +6,7 @@ to the runtime/distribution layers.
 """
 
 from .csc import CSCMatrix
-from .dcsc import DCSCMatrix
-from .conversion import as_csc, as_dcsc, csc_from_scipy, dcsc_from_scipy, to_scipy
+from .conversion import as_csc, csc_from_scipy, to_scipy
 from .flops import (
     estimate_output_nnz_upper_bound,
     per_column_flops,
@@ -16,7 +15,6 @@ from .flops import (
 from .kernels import (
     KERNEL_VARIANTS,
     kernel_variant,
-    numba_available,
     requested_kernel_variant,
     resolve_kernel_variant,
     set_kernel_variant,
@@ -35,11 +33,8 @@ from . import ops
 
 __all__ = [
     "CSCMatrix",
-    "DCSCMatrix",
     "as_csc",
-    "as_dcsc",
     "csc_from_scipy",
-    "dcsc_from_scipy",
     "to_scipy",
     "per_column_flops",
     "spgemm_flops",
@@ -53,7 +48,6 @@ __all__ = [
     "KERNELS",
     "KERNEL_VARIANTS",
     "kernel_variant",
-    "numba_available",
     "requested_kernel_variant",
     "resolve_kernel_variant",
     "set_kernel_variant",

@@ -3,30 +3,22 @@
 scipy is used only at the edges of the library — for test oracles, for
 reading/writing MatrixMarket files, and for users who already hold a scipy
 matrix.  The distributed algorithms themselves operate on
-:class:`~repro.sparse.csc.CSCMatrix` / :class:`~repro.sparse.dcsc.DCSCMatrix`
-so that the communication layer controls exactly which index/value arrays
-move.
+:class:`~repro.sparse.csc.CSCMatrix` so that the communication layer
+controls exactly which index/value arrays move.
 """
 
 from __future__ import annotations
-
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from .csc import CSCMatrix
-from .dcsc import DCSCMatrix
 
 __all__ = [
     "csc_from_scipy",
-    "dcsc_from_scipy",
     "to_scipy",
     "as_csc",
-    "as_dcsc",
 ]
-
-LocalMatrix = Union[CSCMatrix, DCSCMatrix]
 
 
 def csc_from_scipy(mat) -> CSCMatrix:
@@ -45,17 +37,10 @@ def csc_from_scipy(mat) -> CSCMatrix:
     )
 
 
-def dcsc_from_scipy(mat) -> DCSCMatrix:
-    """Convert any scipy sparse matrix (or dense array) to :class:`DCSCMatrix`."""
-    return DCSCMatrix.from_csc(csc_from_scipy(mat))
-
-
-def to_scipy(mat: LocalMatrix) -> sp.csc_matrix:
+def to_scipy(mat: CSCMatrix) -> sp.csc_matrix:
     """Convert a local matrix back to a ``scipy.sparse.csc_matrix``."""
-    if isinstance(mat, DCSCMatrix):
-        mat = mat.to_csc()
     if not isinstance(mat, CSCMatrix):
-        raise TypeError(f"expected CSCMatrix or DCSCMatrix, got {type(mat)!r}")
+        raise TypeError(f"expected CSCMatrix, got {type(mat)!r}")
     return sp.csc_matrix(
         (mat.data.copy(), mat.indices.copy(), mat.indptr.copy()),
         shape=mat.shape,
@@ -63,18 +48,7 @@ def to_scipy(mat: LocalMatrix) -> sp.csc_matrix:
 
 
 def as_csc(mat) -> CSCMatrix:
-    """Coerce CSC/DCSC/scipy/dense input to :class:`CSCMatrix` (no copy if already CSC)."""
+    """Coerce CSC/scipy/dense input to :class:`CSCMatrix` (no copy if already CSC)."""
     if isinstance(mat, CSCMatrix):
         return mat
-    if isinstance(mat, DCSCMatrix):
-        return mat.to_csc()
     return csc_from_scipy(mat)
-
-
-def as_dcsc(mat) -> DCSCMatrix:
-    """Coerce CSC/DCSC/scipy/dense input to :class:`DCSCMatrix` (no copy if already DCSC)."""
-    if isinstance(mat, DCSCMatrix):
-        return mat
-    if isinstance(mat, CSCMatrix):
-        return DCSCMatrix.from_csc(mat)
-    return dcsc_from_scipy(mat)

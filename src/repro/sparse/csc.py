@@ -1,9 +1,8 @@
 """Compressed Sparse Column (CSC) container used as the local-matrix substrate.
 
-The paper stores local submatrices in CombBLAS's DCSC format (see
-:mod:`repro.sparse.dcsc`) but explicitly notes the algorithm "would run on
-both [CSC and DCSC] with the same complexity bounds".  This module provides a
-plain CSC container backed by numpy arrays, which is the workhorse layout for
+The paper stores local submatrices in CombBLAS's DCSC format but explicitly
+notes the algorithm "would run on both [CSC and DCSC] with the same
+complexity bounds".  This module provides a plain CSC container backed by numpy arrays, which is the workhorse layout for
 local SpGEMM kernels, column extraction (the RDMA fetch unit of Algorithm 1),
 and conversions to/from :mod:`scipy.sparse`.
 

@@ -1,25 +1,17 @@
 """The ``REPRO_KERNEL`` variant selector for the local kernels.
 
-Every local kernel (SpGEMM, merge, elementwise) exists in up to three
+Every local kernel (SpGEMM, merge, elementwise) exists in two
 implementations that produce **bit-identical** results:
 
 ``python``
     The literal per-column/per-entry reference implementations — the
     semantic oracle the property tests compare everything against.
 ``numpy``
-    Vectorised sort-and-reduce / key-intersection formulations.  Always
-    available; the default fast path.
-``numba``
-    Jitted Gustavson loops (see :mod:`repro.sparse._numba_kernels`),
-    available only when :mod:`numba` is importable.  Install with the
-    ``repro[fast]`` extra.
+    Vectorised sort-and-reduce / key-intersection formulations; the fast
+    path.
 
-The selector value ``auto`` (the default) resolves to ``numba`` when the
-import succeeds and to ``numpy`` otherwise.  Requesting ``numba`` on a
-machine without it degrades to ``numpy`` with a single warning rather than
-raising mid-sweep, so a grid launched with ``REPRO_KERNEL=numba`` still
-completes (with identical results — the variants are interchangeable by
-construction).
+The selector value ``auto`` (the default) resolves to ``numpy``.  Any other
+name is rejected up front with a :class:`ValueError`.
 
 Selection is **process-global** and never part of a
 :class:`~repro.experiments.config.RunConfig`: the variant changes how fast a
@@ -32,13 +24,11 @@ experiment engine inherit the caller's choice.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 __all__ = [
     "KERNEL_VARIANTS",
-    "numba_available",
     "requested_kernel_variant",
     "resolve_kernel_variant",
     "set_kernel_variant",
@@ -46,24 +36,12 @@ __all__ = [
 ]
 
 #: accepted values of ``REPRO_KERNEL`` / ``--kernel``
-KERNEL_VARIANTS = ("auto", "numpy", "numba", "python")
-
-#: what ``resolve_kernel_variant`` can return (``auto`` always resolves)
-RESOLVED_VARIANTS = ("numpy", "numba", "python")
+KERNEL_VARIANTS = ("auto", "numpy", "python")
 
 _ENV_VAR = "REPRO_KERNEL"
 
 #: process-wide override installed by :func:`set_kernel_variant`
 _forced: Optional[str] = None
-#: emit the numba-unavailable degradation warning only once per process
-_warned_missing_numba = False
-
-
-def numba_available() -> bool:
-    """True iff the jitted kernels can actually run in this process."""
-    from . import _numba_kernels
-
-    return _numba_kernels.NUMBA_AVAILABLE
 
 
 def _validate(name: str) -> str:
@@ -76,7 +54,7 @@ def _validate(name: str) -> str:
 
 
 def requested_kernel_variant() -> str:
-    """The variant currently asked for (before availability resolution)."""
+    """The variant currently asked for (before ``auto`` is resolved)."""
     if _forced is not None:
         return _forced
     return os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
@@ -85,26 +63,10 @@ def requested_kernel_variant() -> str:
 def resolve_kernel_variant(name: Optional[str] = None) -> str:
     """Resolve ``name`` (or the process-wide request) to a runnable variant.
 
-    ``auto`` becomes ``numba`` when importable, else ``numpy``; an explicit
-    ``numba`` request without the package degrades to ``numpy`` with one
-    warning per process (never an exception — see ISSUE 8 satellite: a sweep
-    must not die halfway because a worker host lacks the extra).
+    ``auto`` becomes ``numpy``; unknown names raise :class:`ValueError`.
     """
-    global _warned_missing_numba
     requested = _validate(name if name is not None else requested_kernel_variant())
-    if requested == "auto":
-        return "numba" if numba_available() else "numpy"
-    if requested == "numba" and not numba_available():
-        if not _warned_missing_numba:
-            warnings.warn(
-                "REPRO_KERNEL=numba requested but numba is not importable; "
-                "falling back to the numpy kernels (results are identical)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_missing_numba = True
-        return "numpy"
-    return requested
+    return "numpy" if requested == "auto" else requested
 
 
 def set_kernel_variant(name: str) -> str:

@@ -32,11 +32,10 @@ Four kernels are provided, all producing identical results:
     with the dense accumulator taking over when the estimated density of the
     output column is high.
 
-Every kernel exists in up to three *variants* selected process-wide by
+Every kernel exists in two *variants* selected process-wide by
 ``REPRO_KERNEL`` (see :mod:`repro.sparse.kernels`): the literal pure-python
-loops below (``python`` — the semantic oracle), a vectorised
-sort-and-reduce (``numpy``), and a jitted Gustavson loop (``numba``,
-optional).  All three accumulate the contributions to each output entry in
+loops below (``python`` — the semantic oracle) and a vectorised
+sort-and-reduce (``numpy``).  Both accumulate the contributions to each output entry in
 **segment order** (the order of ``k`` within ``B(:, j)``) so results are
 bit-identical; cancellation zeros are always stored (CombBLAS pattern
 semantics — which is also why scipy's matmul, which prunes them, is not
@@ -194,7 +193,7 @@ def _heap_merge_column(
     Each heap entry is ``(row, list_index, position)``; advancing an entry
     pushes the next element of that column.  This is the textbook k-way merge
     of the heap SpGEMM formulation and is kept deliberately literal — the
-    vectorised/jitted kernels are the fast paths, this one is the reference.
+    vectorised kernel is the fast path, this one is the reference.
     """
     heap: List[Tuple[int, int, int]] = []
     segments: List[Tuple[np.ndarray, np.ndarray, np.generic]] = []
@@ -220,7 +219,9 @@ def _heap_merge_column(
             out_vals[-1] = out_vals[-1] + contribution
         else:
             out_rows.append(row)
-            out_vals.append(contribution)
+            # Sums start from +0.0, as in the fast path's zero-initialised
+            # accumulators, so a lone -0.0 product comes out as +0.0.
+            out_vals.append(0.0 + contribution)
         if pos + 1 < seg_rows.shape[0]:
             heapq.heappush(heap, (int(seg_rows[pos + 1]), seg_id, pos + 1))
     return (
@@ -254,7 +255,7 @@ def _hash_accumulate_column(
         while True:
             if table_rows[slot] == -1:
                 table_rows[slot] = r
-                table_vals[slot] = v
+                table_vals[slot] += v
                 break
             if table_rows[slot] == r:
                 table_vals[slot] += v
@@ -352,7 +353,7 @@ def _spgemm_python_hybrid(
 
 
 # ----------------------------------------------------------------------
-# Fast paths: vectorised sort-and-reduce (numpy) and jitted SPA (numba)
+# Fast path: vectorised sort-and-reduce (numpy)
 # ----------------------------------------------------------------------
 
 def _vectorised_spgemm(A: CSCMatrix, B: CSCMatrix) -> CSCMatrix:
@@ -400,14 +401,6 @@ def _vectorised_spgemm(A: CSCMatrix, B: CSCMatrix) -> CSCMatrix:
     return build_csc_unchecked(A.nrows, B.ncols, indptr, unique_rows, summed)
 
 
-def _spgemm_fast(A: CSCMatrix, B: CSCMatrix, variant: str) -> CSCMatrix:
-    if variant == "numba":
-        from ._numba_kernels import spgemm_numba
-
-        return spgemm_numba(A, B)
-    return _vectorised_spgemm(A, B)
-
-
 # ----------------------------------------------------------------------
 # Public kernels: name = routing counters, variant = execution strategy
 # ----------------------------------------------------------------------
@@ -441,7 +434,7 @@ def spgemm_heap(
     """Heap-based (k-way merge) local SpGEMM: exact column-by-column merge."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_heap(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_heap(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "heap")
     return result
 
@@ -452,7 +445,7 @@ def spgemm_hash(
     """Hash-based local SpGEMM: per-column open-addressing accumulation."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_hash(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_hash(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "hash")
     return result
 
@@ -463,7 +456,7 @@ def spgemm_dense_accumulator(
     """Dense-accumulator local SpGEMM (classical Gustavson SPA, column form)."""
     A, B = _coerce_operands(A, B)
     v = resolve_kernel_variant(variant)
-    result = _spgemm_python_dense(A, B) if v == "python" else _spgemm_fast(A, B, v)
+    result = _spgemm_python_dense(A, B) if v == "python" else _vectorised_spgemm(A, B)
     _account(stats, A, B, result, "dense")
     return result
 
@@ -485,7 +478,7 @@ def spgemm_hybrid(
     ``dense_density_threshold`` to the dense accumulator, and the rest to the
     hash accumulator — the same decision structure as the CombBLAS hybrid
     kernel the paper uses.  Under the ``python`` variant each column really
-    runs through its chosen literal accumulator; the fast variants perform
+    runs through its chosen literal accumulator; the numpy variant performs
     the numeric work in one algebraically identical pass (the routing then
     only feeds the stats counters, which are identical either way).  The
     first ``reference_columns`` columns can additionally be cross-checked
@@ -520,7 +513,7 @@ def spgemm_hybrid(
             A, B, col_flops, heap_flops_threshold, dense_density_threshold
         )
     else:
-        result = _spgemm_fast(A, B, v)
+        result = _vectorised_spgemm(A, B)
         if reference_columns > 0:
             # Cross-check path: run the literal kernels on a prefix of columns.
             ref = min(reference_columns, B.ncols)
@@ -556,7 +549,7 @@ def local_spgemm(
     Parameters
     ----------
     A, B:
-        CSC/DCSC/scipy/dense inputs with compatible inner dimensions.
+        CSC/scipy/dense inputs with compatible inner dimensions.
     kernel:
         One of ``"heap"``, ``"hash"``, ``"dense"``, ``"hybrid"`` (default).
     stats:

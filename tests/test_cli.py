@@ -25,6 +25,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["square", "--dataset", "unknown42"])
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--nprocs", "0"), ("--nprocs", "-4"),
+                       ("--scale", "0"), ("--scale", "-0.5")],
+    )
+    def test_input_arguments_reject_non_positive(self, capsys, flag, value):
+        # Rejected by argparse (exit 2) before any dataset loads, not a
+        # ZeroDivisionError from the distribution split.
+        with pytest.raises(SystemExit) as exc:
+            main(["square", "--dataset", "hv15r", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "must be positive" in err
+
     def test_bc_arguments(self):
         args = build_parser().parse_args(
             ["bc", "--dataset", "eukarya", "--sources", "8", "--batch-size", "4"]
@@ -154,8 +167,11 @@ class TestCommands:
 
     def test_sweep_rejects_non_positive_axes(self, capsys):
         assert main(["sweep", "--datasets", "hv15r", "--nprocs", "0,4"]) == 2
+        assert "nprocs must be >= 1: 0" in capsys.readouterr().err
         assert main(["sweep", "--datasets", "hv15r", "--block-splits", "-1"]) == 2
+        assert "block_split must be >= 1: -1" in capsys.readouterr().err
         assert main(["sweep", "--datasets", "hv15r", "--scale", "0"]) == 2
+        assert "scale must be positive: 0.0" in capsys.readouterr().err
 
     def test_sweep_rejects_unknown_workload(self, capsys):
         assert main(["sweep", "--datasets", "hv15r", "--workloads", "tensor"]) == 2
@@ -237,28 +253,3 @@ class TestCommands:
         )
         assert code == 0
         assert "amg-restriction" in capsys.readouterr().out
-
-    def test_bench_emits_trajectory(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_TEST.json"
-        records = tmp_path / "bench.jsonl"
-        argv = [
-            "bench", "--scale", "0.05", "--records", str(records),
-            "--out", str(out_path),
-        ]
-        assert main(argv) == 0
-        assert "trajectory written" in capsys.readouterr().out
-        import json
-
-        document = json.loads(out_path.read_text())
-        assert document["label"] == "BENCH_TEST"
-        assert document["all_conserved"] is True
-        assert set(document["workloads"]) == {
-            "squaring", "chained-squaring", "amg-restriction", "bc",
-            "triangles", "mcl",
-        }
-        # Re-running serves every config from the record store.
-        assert main(argv) == 0
-        assert "0 executed" in capsys.readouterr().out
-
-    def test_bench_rejects_unknown_workload(self, capsys):
-        assert main(["bench", "--workloads", "quux"]) == 2

@@ -79,6 +79,15 @@ class TestRunConfig:
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
         assert config.config_hash() != first
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("nprocs", 0), ("nprocs", -2), ("block_split", 0),
+         ("scale", 0.0), ("scale", -0.1), ("scale", float("nan"))],
+    )
+    def test_non_positive_sizes_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(dataset="hv15r", **{field: value})
+
     def test_dict_round_trip(self):
         config = RunConfig(dataset="queen", algorithm="3d", layers=4, threads=2)
         assert RunConfig.from_dict(config.as_dict()) == config
@@ -223,6 +232,14 @@ class TestEngine:
         result = run_grid(configs, workers=0)
         assert result.stats.executed == 2
         assert all(isinstance(r, RunRecord) for r in result.records)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_grid_with_zero_processes_rejected_before_running(self, tmp_path, workers):
+        grid = ExperimentGrid(datasets=("hv15r",), process_counts=(4, 0), scale=0.1)
+        store = tmp_path / "records.jsonl"
+        with pytest.raises(ValueError, match="nprocs must be >= 1"):
+            run_grid(grid, workers=workers, store=str(store))
+        assert not store.exists() or store.read_text() == ""
 
     def test_unknown_cost_model_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import random
-import shutil
 import subprocess
 import sys
 import textwrap

@@ -15,7 +15,6 @@ from repro.apps.bc import batched_betweenness_centrality
 from repro.apps.squaring import run_squaring
 from repro.core import (
     SparsityAware1D,
-    SplitSpGEMM3D,
     estimate_communication,
     make_algorithm,
 )

@@ -188,10 +188,3 @@ class TestIO:
         back = read_matrix_market(path)
         np.testing.assert_allclose(back.to_dense(), small_square.to_dense(), atol=1e-12)
 
-    def test_matrix_market_roundtrip_dcsc(self, tmp_path, small_square):
-        from repro.sparse import as_dcsc
-
-        path = tmp_path / "matrix_dcsc.mtx"
-        write_matrix_market(path, as_dcsc(small_square))
-        back = read_matrix_market(path)
-        np.testing.assert_allclose(back.to_dense(), small_square.to_dense(), atol=1e-12)

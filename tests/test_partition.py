@@ -10,7 +10,6 @@ from repro.matrices.generators import community_graph, banded
 from repro.partition import (
     AdjacencyGraph,
     ColumnNetHypergraph,
-    Ordering,
     apply_ordering,
     apply_symmetric_permutation,
     balance_ratio,

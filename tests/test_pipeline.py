@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import (
     DistributedOperand,
+    SpGEMMResult,
     as_operand,
     coerce_columns_1d,
     make_algorithm,
@@ -40,6 +41,17 @@ ALL_ALGORITHMS = (
 def _fresh_result(algorithm, A, nprocs=16):
     cluster = SimulatedCluster(nprocs, cost_model=PERLMUTTER)
     return make_algorithm(algorithm).multiply(A, A, cluster), cluster
+
+
+def _force_eager_assembly(monkeypatch):
+    """Make every in-process result assemble its global C at construction."""
+    lazy_init = SpGEMMResult.__post_init__
+
+    def eager_init(self):
+        lazy_init(self)
+        _ = self.C
+
+    monkeypatch.setattr(SpGEMMResult, "__post_init__", eager_init)
 
 
 class TestDistributedOperand:
@@ -92,8 +104,10 @@ class TestLazyAssembly:
             result.C.to_dense(), dense @ dense, rtol=1e-9, atol=1e-11
         )
 
-    def test_eager_assembly_env_forces_assembly(self, small_square, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_ASSEMBLY", "1")
+    def test_forced_eager_assembly_assembles_at_construction(
+        self, small_square, monkeypatch
+    ):
+        _force_eager_assembly(monkeypatch)
         result, _ = _fresh_result("1d", small_square)
         assert result.assembled is True
 
@@ -326,9 +340,8 @@ class TestEngineSkipsAssembly:
         """Satellite regression: lazy global-C assembly changes no record.
 
         One sweep runs normally (no executor ever touches ``result.C``), a
-        second runs with ``REPRO_EAGER_ASSEMBLY`` forcing every result to
-        assemble at construction; the persisted JSONL stores must be
-        byte-identical.
+        second (serial, in-process) forces every result to assemble at
+        construction; the persisted JSONL stores must be byte-identical.
         """
         from repro.experiments import RunConfig, run_grid
 
@@ -350,7 +363,7 @@ class TestEngineSkipsAssembly:
         ]
         lazy_store = tmp_path / "lazy.jsonl"
         run_grid(configs, store=str(lazy_store))
-        monkeypatch.setenv("REPRO_EAGER_ASSEMBLY", "1")
+        _force_eager_assembly(monkeypatch)
         eager_store = tmp_path / "eager.jsonl"
         run_grid(configs, store=str(eager_store))
         assert lazy_store.read_bytes() == eager_store.read_bytes()

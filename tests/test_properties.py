@@ -16,7 +16,6 @@ from repro.partition import (
 from repro.runtime import SimulatedCluster, ZERO_COST
 from repro.sparse import (
     CSCMatrix,
-    DCSCMatrix,
     add_matrices,
     local_spgemm,
     spgemm_flops,
@@ -80,11 +79,6 @@ def matrix_pair(draw, max_dim=10):
 # Container invariants
 # ----------------------------------------------------------------------
 class TestContainerProperties:
-    @FAST
-    @given(coo_matrix())
-    def test_csc_dcsc_roundtrip(self, A):
-        assert DCSCMatrix.from_csc(A).to_csc().allclose(A)
-
     @FAST
     @given(coo_matrix())
     def test_transpose_is_involution(self, A):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import threading
 
 import pytest
@@ -122,6 +121,17 @@ class TestProtocol:
             assert not reply["ok"] and "configs" in reply["error"]
             # the connection still works
             assert client.ping()["ok"]
+
+    def test_non_positive_config_rejected_before_admission(self, service):
+        svc, sock, store = service
+        with ServiceClient(socket_path=sock) as client:
+            reply = client.submit(configs=[{"dataset": "hv15r", "nprocs": 0}])
+            assert not reply["ok"] and "nprocs must be >= 1" in reply["error"]
+            reply = client.submit(grid={**_grid_payload([4]), "scale": 0})
+            assert not reply["ok"] and "scale must be positive" in reply["error"]
+            assert client.ping()["ok"]
+        assert svc.scheduler.stats()["jobs_submitted"] == 0
+        assert store.load_records() == []
 
     def test_admission_rejection_is_flagged(self, tmp_path):
         sock = tmp_path / "svc.sock"

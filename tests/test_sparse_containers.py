@@ -1,4 +1,4 @@
-"""Unit tests for the CSC / DCSC containers and scipy conversion."""
+"""Unit tests for the CSC container and scipy conversion."""
 
 from __future__ import annotations
 
@@ -8,11 +8,8 @@ import scipy.sparse as sp
 
 from repro.sparse import (
     CSCMatrix,
-    DCSCMatrix,
     as_csc,
-    as_dcsc,
     csc_from_scipy,
-    dcsc_from_scipy,
     to_scipy,
 )
 
@@ -209,87 +206,6 @@ class TestCSCTransforms:
 
 
 # ----------------------------------------------------------------------
-# DCSCMatrix
-# ----------------------------------------------------------------------
-class TestDCSC:
-    def test_from_csc_roundtrip(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        assert_sparse_equal(d.to_csc(), small_square)
-
-    def test_empty(self):
-        d = DCSCMatrix.empty(4, 6)
-        assert d.nnz == 0
-        assert d.nzc == 0
-        assert d.shape == (4, 6)
-
-    def test_nzc_counts_only_nonempty_columns(self):
-        csc = CSCMatrix.from_coo(5, 10, [0, 1, 2], [0, 0, 7], [1.0, 1.0, 1.0])
-        d = DCSCMatrix.from_csc(csc)
-        assert d.nzc == 2
-        np.testing.assert_array_equal(d.jc, [0, 7])
-
-    def test_memory_smaller_than_csc_for_hypersparse(self):
-        # 3 entries in a 10000-column matrix: DCSC should be far smaller.
-        csc = CSCMatrix.from_coo(100, 10000, [0, 1, 2], [5, 500, 5000], [1.0, 1.0, 1.0])
-        d = DCSCMatrix.from_csc(csc)
-        assert d.memory_bytes() < csc.memory_bytes() / 10
-
-    def test_column_lookup_hit_and_miss(self):
-        csc = CSCMatrix.from_coo(5, 10, [0, 1], [3, 8], [1.0, 2.0])
-        d = DCSCMatrix.from_csc(csc)
-        assert d.column_lookup(3) == 0
-        assert d.column_lookup(8) == 1
-        assert d.column_lookup(4) == -1
-
-    def test_column_access_empty_column(self):
-        csc = CSCMatrix.from_coo(5, 10, [0], [3], [1.0])
-        d = DCSCMatrix.from_csc(csc)
-        rows, vals = d.column(4)
-        assert rows.size == 0 and vals.size == 0
-
-    def test_column_access_out_of_range(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        with pytest.raises(IndexError):
-            d.column(small_square.ncols)
-
-    def test_from_coo(self):
-        d = DCSCMatrix.from_coo(3, 3, [0, 1], [1, 1], [2.0, 3.0])
-        assert d.nzc == 1
-        np.testing.assert_allclose(d.to_dense()[:, 1], [2.0, 3.0, 0.0])
-
-    def test_extract_columns(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        sub = d.extract_columns([4, 0, 10])
-        np.testing.assert_allclose(
-            sub.to_dense(), small_square.to_dense()[:, [4, 0, 10]]
-        )
-
-    def test_nonzero_rows_mask_matches_csc(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        np.testing.assert_array_equal(
-            d.nonzero_rows_mask(), small_square.nonzero_rows_mask()
-        )
-
-    def test_copy_independent(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        cp = d.copy()
-        cp.num[:] = 0
-        assert d.num.any()
-
-    def test_invalid_cp_raises(self):
-        with pytest.raises(ValueError):
-            DCSCMatrix(2, 2, jc=[0], cp=[0], ir=[0], num=[1.0])
-
-    def test_jc_must_increase(self):
-        with pytest.raises(ValueError):
-            DCSCMatrix(2, 4, jc=[1, 1], cp=[0, 1, 2], ir=[0, 0], num=[1.0, 1.0])
-
-    def test_allclose(self, small_square):
-        d = DCSCMatrix.from_csc(small_square)
-        assert d.allclose(small_square)
-
-
-# ----------------------------------------------------------------------
 # scipy conversion
 # ----------------------------------------------------------------------
 class TestConversion:
@@ -297,10 +213,6 @@ class TestConversion:
         s = to_scipy(small_square)
         back = csc_from_scipy(s)
         assert_sparse_equal(back, small_square)
-
-    def test_scipy_roundtrip_dcsc(self, small_square):
-        d = dcsc_from_scipy(to_scipy(small_square))
-        assert_sparse_equal(d.to_csc(), small_square)
 
     def test_csc_from_scipy_accepts_csr(self, small_square):
         csr = to_scipy(small_square).tocsr()
@@ -313,14 +225,6 @@ class TestConversion:
 
     def test_as_csc_identity_for_csc(self, small_square):
         assert as_csc(small_square) is small_square
-
-    def test_as_dcsc_identity_for_dcsc(self, small_square):
-        d = as_dcsc(small_square)
-        assert as_dcsc(d) is d
-
-    def test_as_csc_from_dcsc(self, small_square):
-        d = as_dcsc(small_square)
-        assert_sparse_equal(as_csc(d), small_square)
 
     def test_to_scipy_rejects_other_types(self):
         with pytest.raises(TypeError):

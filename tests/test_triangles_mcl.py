@@ -161,7 +161,7 @@ class TestPR5ConfigAxes:
         """Pinned against literal hashes captured from the PR-4 tree.
 
         If any of these change, every cached record store silently
-        invalidates and the BENCH_PR4/BENCH_PR5 overlap comparison breaks.
+        invalidates.
         """
         pins = [
             (RunConfig(dataset="eukarya", algorithm="1d", strategy="metis",

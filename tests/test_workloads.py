@@ -17,7 +17,6 @@ from repro.experiments import (
     RunConfig,
     RunRecord,
     execute_config,
-    rollup_records,
     run_grid,
     workload_names,
 )
@@ -129,9 +128,8 @@ class TestResidentAndChainAxes:
     def test_new_axes_elide_from_hash_at_default(self):
         """Configs predating the resident/square_k axes keep their hashes.
 
-        Pinned against a literal hash from the committed PR-3
-        ``BENCH_PR3.json`` snapshot: if this changes, every cached record
-        store and the cross-PR bench comparison silently invalidates.
+        Pinned against a literal hash captured from the PR-3 tree: if this
+        changes, every cached record store silently invalidates.
         """
         config = RunConfig(
             dataset="eukarya", algorithm="1d", strategy="metis",
@@ -192,7 +190,7 @@ class TestResidentAndChainAxes:
         """--square-k on a mixed grid must not perturb squaring hashes.
 
         Otherwise adding chained-squaring to an existing sweep would cache-
-        miss (and lose BENCH overlap for) every squaring config in it.
+        miss every squaring config in it.
         """
         plain = ExperimentGrid(
             datasets=("hv15r",), workloads=("squaring",),
@@ -460,32 +458,3 @@ class TestPerWorkloadCaching:
         assert [r.to_json_line() for r in serial.records] == [
             r.to_json_line() for r in parallel.records
         ]
-
-
-class TestTrajectoryRollup:
-    def test_rollup_aggregates_per_workload(self):
-        records = [execute_config(c) for c in [
-            RunConfig(dataset="hv15r", nprocs=4, block_split=16, scale=SCALE),
-            _bc_config(),
-        ]]
-        document = rollup_records(records, label="test")
-        assert document["label"] == "test"
-        assert document["total_records"] == 2
-        assert document["all_conserved"] is True
-        assert set(document["workloads"]) == {"squaring", "bc"}
-        assert document["workloads"]["bc"]["configs"] == 1
-        bc_row = [r for r in document["records"] if r["workload"] == "bc"][0]
-        assert bc_row["bc"]["iterations"] == len(records[1].bc.iterations)
-        assert "machine" in document and "python" in document["machine"]
-
-    def test_write_trajectory_round_trips(self, tmp_path):
-        import json
-
-        records = [execute_config(_bc_config())]
-        path = tmp_path / "BENCH_TEST.json"
-        from repro.experiments import write_trajectory
-
-        document = write_trajectory(path, records, label="TEST", wall_seconds=1.5)
-        loaded = json.loads(path.read_text())
-        assert loaded == json.loads(json.dumps(document))
-        assert loaded["wall_seconds"] == 1.5
